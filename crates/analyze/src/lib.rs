@@ -73,9 +73,9 @@ impl fmt::Display for Violation {
 /// `on_msg`/`on_close`/`on_tick`, effects executors, the driver pump).
 /// Blocking there stalls every connection the worker owns. The blocking
 /// *layer itself* — `conn.rs` (dial/read primitives), `iolane.rs`,
-/// `log.rs`/`store`/`metalog.rs` (the durable engines the lane runs),
-/// `uring.rs` (the syscall shims) — is deliberately not listed: those
-/// modules exist to block, on threads that are allowed to.
+/// `log.rs`/`store`/`metalog.rs` (the durable engines the lane runs) —
+/// is deliberately not listed: those modules exist to block, on threads
+/// that are allowed to.
 const PUMP_FILES: &[&str] = &[
     "crates/net/src/reactor.rs",
     "crates/net/src/driver.rs",
@@ -85,18 +85,11 @@ const PUMP_FILES: &[&str] = &[
 ];
 
 /// Tokens that block: fsyncs, dials, bounded-or-not socket reads.
-const BLOCKING_TOKENS: &[&str] = &[
-    ".sync_data(",
-    ".sync_all(",
-    "dial(",
-    "read_frame_timeout(",
-    "read_loop(",
-];
+const BLOCKING_TOKENS: &[&str] = &[".sync_data(", ".sync_all(", "dial(", "read_frame_timeout("];
 
 /// `unsafe-needs-safety`: the workspace's entire unsafe surface.
 const UNSAFE_FILES: &[&str] = &[
     "crates/net/src/reactor.rs",
-    "crates/net/src/uring.rs",
     "crates/util/src/crc32.rs",
     "crates/util/src/sha256.rs",
 ];

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use stdchk_core::{BenefactorConfig, PoolConfig};
 use stdchk_net::store::MemStore;
 use stdchk_net::{
-    Backend, BenefactorNetConfig, BenefactorServer, Grid, ManagerServer, ServerOpts, WriteOptions,
+    BenefactorNetConfig, BenefactorServer, Grid, ManagerServer, ServerOpts, WriteOptions,
 };
 use stdchk_util::mix64;
 
@@ -84,10 +84,8 @@ fn run_one(dedup: bool, scale: &Scale) -> RunResult {
     // and grid, so flipping it between arms is race-free.
     std::env::set_var("STDCHK_DEDUP", if dedup { "on" } else { "off" });
     let opts = ServerOpts {
-        backend: Backend::Reactor,
         workers: 2,
         idle_timeout: Some(Duration::from_secs(120)),
-        io_lane: true,
     };
     let mut pool_cfg = PoolConfig::fast_for_tests();
     pool_cfg.chunk_size = CHUNK as u32;

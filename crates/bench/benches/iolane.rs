@@ -13,11 +13,11 @@
 //!   by the reactor's connection layer on that same worker. Its RTT is
 //!   the "unrelated connection" latency.
 //!
-//! Measured per arm (lane **on** vs `STDCHK_IO_LANE=off`-equivalent
-//! **inline**): probe RTT p50/p99/max while the commits churn. With the
-//! lane, the durable wait rides a lane thread and the RTT stays an
-//! order of magnitude below the injected delay; inline, the worker eats
-//! each 100 ms tail and the probe queues behind it.
+//! Measured: probe RTT p50/p99/max while the commits churn. The durable
+//! wait rides an I/O-lane thread, so the RTT stays an order of magnitude
+//! below the injected delay. The committed `BENCH_iolane.json` also
+//! records the inline-fsync path this replaced (since removed), where the
+//! worker ate each 100 ms tail and the probe queued behind it.
 //!
 //! Writes `BENCH_iolane.json` at the workspace root (override with
 //! `STDCHK_BENCH_OUT`). `--smoke` / `STDCHK_BENCH_SMOKE=1` shrinks the
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use stdchk_core::{BenefactorConfig, PoolConfig};
 use stdchk_net::store::MemStore;
 use stdchk_net::{
-    Backend, BenefactorNetConfig, BenefactorServer, Grid, ManagerServer, ServerOpts, WriteOptions,
+    BenefactorNetConfig, BenefactorServer, Grid, ManagerServer, ServerOpts, WriteOptions,
 };
 use stdchk_proto::frame::{read_frame, write_frame};
 use stdchk_proto::msg::Msg;
@@ -46,7 +46,6 @@ struct Scale {
 }
 
 struct RunResult {
-    lane: bool,
     commits: usize,
     commit_wall_secs: f64,
     p50_ms: f64,
@@ -65,18 +64,14 @@ fn quantile_ms(sorted: &[Duration], q: f64) -> f64 {
     sorted[idx].as_secs_f64() * 1e3
 }
 
-fn run_one(lane: bool, scale: &Scale) -> RunResult {
-    let name = if lane { "lane" } else { "inline" };
-    let meta_dir =
-        std::env::temp_dir().join(format!("stdchk-bench-iolane-{name}-{}", std::process::id()));
+fn run(scale: &Scale) -> RunResult {
+    let meta_dir = std::env::temp_dir().join(format!("stdchk-bench-iolane-{}", std::process::id()));
     fs::remove_dir_all(&meta_dir).ok();
     let opts = ServerOpts {
-        backend: Backend::Reactor,
-        // One worker: every socket shares it, so an inline fsync tail is
-        // maximally visible. The lane must hide it anyway.
+        // One worker: every socket shares it, so an fsync tail on the
+        // worker would be maximally visible. The lane must hide it.
         workers: 1,
         idle_timeout: Some(Duration::from_secs(120)),
-        io_lane: lane,
     };
     let mut pool_cfg = PoolConfig::fast_for_tests();
     pool_cfg.chunk_size = 64 << 10;
@@ -161,7 +156,6 @@ fn run_one(lane: bool, scale: &Scale) -> RunResult {
 
     rtts.sort_unstable();
     let result = RunResult {
-        lane,
         commits: files,
         commit_wall_secs: commit_wall.as_secs_f64(),
         p50_ms: quantile_ms(&rtts, 0.50),
@@ -169,13 +163,13 @@ fn run_one(lane: bool, scale: &Scale) -> RunResult {
         max_ms: quantile_ms(&rtts, 1.0),
     };
     println!(
-        "{name:>6}  {} commits in {:5.2}s  probe RTT p50 {:7.2}ms  p99 {:7.2}ms  max {:7.2}ms",
+        "{} commits in {:5.2}s  probe RTT p50 {:7.2}ms  p99 {:7.2}ms  max {:7.2}ms",
         result.commits, result.commit_wall_secs, result.p50_ms, result.p99_ms, result.max_ms
     );
     result
 }
 
-fn write_json(scale: &Scale, results: &[RunResult], headline: Option<f64>) {
+fn write_json(scale: &Scale, r: &RunResult) {
     let out_path = std::env::var("STDCHK_BENCH_OUT").unwrap_or_else(|_| {
         // CARGO_MANIFEST_DIR is crates/bench; the workspace root is two up.
         format!("{}/../../BENCH_iolane.json", env!("CARGO_MANIFEST_DIR"))
@@ -189,27 +183,12 @@ fn write_json(scale: &Scale, results: &[RunResult], headline: Option<f64>) {
     ));
     body.push_str("  \"pool\": {\"benefactors\": 2, \"server_workers\": 1},\n");
     body.push_str(&format!(
-        "  \"rtt_p99_inline_over_lane\": {},\n",
-        headline
-            .map(|h| format!("{h:.2}"))
-            .unwrap_or_else(|| "null".into())
+        "  \"result\": {{\"commits\": {}, \"commit_wall_secs\": {:.3}, \
+         \"probe_rtt_p50_ms\": {:.3}, \"probe_rtt_p99_ms\": {:.3}, \
+         \"probe_rtt_max_ms\": {:.3}}}\n",
+        r.commits, r.commit_wall_secs, r.p50_ms, r.p99_ms, r.max_ms,
     ));
-    body.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"io_lane\": {}, \"commits\": {}, \"commit_wall_secs\": {:.3}, \
-             \"probe_rtt_p50_ms\": {:.3}, \"probe_rtt_p99_ms\": {:.3}, \
-             \"probe_rtt_max_ms\": {:.3}}}{}\n",
-            r.lane,
-            r.commits,
-            r.commit_wall_secs,
-            r.p50_ms,
-            r.p99_ms,
-            r.max_ms,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  ]\n}\n");
+    body.push_str("}\n");
     let mut f = fs::File::create(&out_path).expect("create BENCH_iolane.json");
     f.write_all(body.as_bytes())
         .expect("write BENCH_iolane.json");
@@ -241,21 +220,11 @@ fn main() {
         scale.pings,
         if smoke { " (smoke scale)" } else { "" }
     );
-    let mut results = Vec::new();
-    for lane in [false, true] {
-        results.push(run_one(lane, &scale));
-    }
-    let headline = {
-        let p99 = |lane: bool| results.iter().find(|r| r.lane == lane).map(|r| r.p99_ms);
-        match (p99(false), p99(true)) {
-            (Some(inline), Some(lane)) if lane > 0.0 => Some(inline / lane),
-            _ => None,
-        }
-    };
+    let result = run(&scale);
     // Smoke runs keep the harness alive in CI; never let their throwaway
     // numbers clobber the committed full-scale result.
     if !smoke || std::env::var("STDCHK_BENCH_OUT").is_ok() {
-        write_json(&scale, &results, headline);
+        write_json(&scale, &result);
     } else {
         println!("\nsmoke scale: skipping BENCH_iolane.json (set STDCHK_BENCH_OUT to force)");
     }

@@ -1,13 +1,12 @@
-//! Transport benchmark: the epoll reactor vs the legacy
-//! thread-per-connection backend under concurrent checkpoint sessions.
+//! Transport benchmark: the epoll reactor under concurrent checkpoint
+//! sessions.
 //!
-//! For each backend and each session count (64 / 256 / 512 at full
-//! scale), an in-process pool (manager + 3 MemStore benefactors) serves
-//! that many *simultaneous* write sessions — each its own `Grid` with its
-//! own manager and benefactor connections, exactly the shape of a desktop
-//! grid pool checkpointing at once. The client side is identical in both
-//! arms (one shared `GridRuntime` + a single nonblocking driver thread),
-//! so the measured difference is the server transport.
+//! For each session count (64 / 256 / 512 at full scale), an in-process
+//! pool (manager + 3 MemStore benefactors) serves that many
+//! *simultaneous* write sessions — each its own `Grid` with its own
+//! manager and benefactor connections, exactly the shape of a desktop
+//! grid pool checkpointing at once. The client side is one shared
+//! `GridRuntime` + a single nonblocking driver thread.
 //!
 //! Reported per configuration:
 //!
@@ -16,10 +15,11 @@
 //! - **setup wall-clock** (connect + create): dominated by serial RPC
 //!   latency, reported for completeness;
 //! - **peak process threads**, the scalability story: the reactor stays
-//!   O(workers) while thread-per-connection grows with sessions.
+//!   O(workers) however many sessions connect.
 //!
-//! Writes `BENCH_reactor.json` at the workspace root (override with
-//! `STDCHK_BENCH_OUT`). `--smoke` / `STDCHK_BENCH_SMOKE=1` shrinks the
+//! The committed `BENCH_reactor.json` also records the thread-per-connection
+//! transport this one replaced (since removed). Writes `BENCH_reactor.json`
+//! at the workspace root (override with `STDCHK_BENCH_OUT`). `--smoke` / `STDCHK_BENCH_SMOKE=1` shrinks the
 //! session counts so CI keeps the harness alive in seconds.
 
 use std::fs;
@@ -31,7 +31,7 @@ use stdchk_core::session::write::{SessionConfig, WriteProtocol};
 use stdchk_core::{BenefactorConfig, PoolConfig};
 use stdchk_net::store::MemStore;
 use stdchk_net::{
-    Backend, BenefactorNetConfig, BenefactorServer, Grid, GridRuntime, ManagerServer, ServerOpts,
+    BenefactorNetConfig, BenefactorServer, Grid, GridRuntime, ManagerServer, ServerOpts,
     WriteOptions,
 };
 use stdchk_util::bytesize::to_mbps;
@@ -42,7 +42,6 @@ const FILE_BYTES: usize = 128 << 10;
 const CHUNK: u32 = 64 << 10;
 
 struct RunResult {
-    backend: &'static str,
     sessions: usize,
     setup_secs: f64,
     io_secs: f64,
@@ -82,16 +81,10 @@ fn benef_cfg() -> BenefactorConfig {
     cfg
 }
 
-fn run_one(backend: Backend, sessions: usize) -> RunResult {
-    let name = match backend {
-        Backend::Reactor => "reactor",
-        Backend::Threaded => "threaded",
-    };
+fn run_one(sessions: usize) -> RunResult {
     let opts = ServerOpts {
-        backend,
         workers: 4,
         idle_timeout: Some(Duration::from_secs(120)),
-        ..ServerOpts::default()
     };
     let mgr = ManagerServer::spawn_with("127.0.0.1:0", pool_cfg(), opts).expect("manager");
     let benefactors: Vec<BenefactorServer> = (0..3)
@@ -115,8 +108,6 @@ fn run_one(backend: Backend, sessions: usize) -> RunResult {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    // Client side is the reactor runtime in BOTH arms: the variable under
-    // test is the server transport.
     let rt = GridRuntime::with_workers(2).expect("runtime");
     let addr = mgr.addr().to_string();
     let data = payload(FILE_BYTES, sessions as u64);
@@ -165,7 +156,7 @@ fn run_one(backend: Backend, sessions: usize) -> RunResult {
                             handle.start_close();
                         }
                     }
-                    Err(e) => panic!("[{name}/{sessions}] write failed: {e}"),
+                    Err(e) => panic!("[{sessions}] write failed: {e}"),
                 }
             }
         }
@@ -175,7 +166,7 @@ fn run_one(backend: Backend, sessions: usize) -> RunResult {
         }
         assert!(
             Instant::now() < hard_deadline,
-            "[{name}/{sessions}] writes stalled"
+            "[{sessions}] writes stalled"
         );
         if !progress {
             std::thread::sleep(Duration::from_millis(1));
@@ -185,13 +176,13 @@ fn run_one(backend: Backend, sessions: usize) -> RunResult {
     while !remaining.is_empty() {
         assert!(
             Instant::now() < hard_deadline,
-            "[{name}/{sessions}] commits stalled"
+            "[{sessions}] commits stalled"
         );
         let mut still = Vec::with_capacity(remaining.len());
         for mut handle in remaining {
             match handle.try_finish() {
                 Some(Ok(_)) => {}
-                Some(Err(e)) => panic!("[{name}/{sessions}] session failed: {e}"),
+                Some(Err(e)) => panic!("[{sessions}] session failed: {e}"),
                 None => still.push(handle),
             }
         }
@@ -212,11 +203,10 @@ fn run_one(backend: Backend, sessions: usize) -> RunResult {
     mgr.shutdown();
 
     println!(
-        "{name:>8} x{sessions:<4} setup {setup_secs:6.2}s  io {io_secs:6.2}s  \
+        "x{sessions:<4} setup {setup_secs:6.2}s  io {io_secs:6.2}s  \
          {agg_mb_per_s:7.1} MB/s  peak threads {peak_threads}"
     );
     RunResult {
-        backend: name,
         sessions,
         setup_secs,
         io_secs,
@@ -225,7 +215,7 @@ fn run_one(backend: Backend, sessions: usize) -> RunResult {
     }
 }
 
-fn write_json(results: &[RunResult], headline: Option<f64>) {
+fn write_json(results: &[RunResult]) {
     let out_path = std::env::var("STDCHK_BENCH_OUT").unwrap_or_else(|_| {
         // CARGO_MANIFEST_DIR is crates/bench; the workspace root is two up.
         format!("{}/../../BENCH_reactor.json", env!("CARGO_MANIFEST_DIR"))
@@ -238,18 +228,11 @@ fn write_json(results: &[RunResult], headline: Option<f64>) {
     body.push_str(
         "  \"pool\": {\"benefactors\": 3, \"server_workers\": 4, \"client_workers\": 2},\n",
     );
-    body.push_str(&format!(
-        "  \"io_speedup_reactor_vs_threaded_at_max_sessions\": {},\n",
-        headline
-            .map(|h| format!("{h:.2}"))
-            .unwrap_or_else(|| "null".into())
-    ));
     body.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         body.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"sessions\": {}, \"setup_secs\": {:.3}, \
+            "    {{\"sessions\": {}, \"setup_secs\": {:.3}, \
              \"io_secs\": {:.3}, \"agg_mb_per_s\": {:.1}, \"peak_threads\": {}}}{}\n",
-            r.backend,
             r.sessions,
             r.setup_secs,
             r.io_secs,
@@ -275,29 +258,11 @@ fn main() {
         session_counts,
         if smoke { " (smoke scale)" } else { "" }
     );
-    let mut results = Vec::new();
-    for &sessions in &session_counts {
-        for backend in [Backend::Threaded, Backend::Reactor] {
-            results.push(run_one(backend, sessions));
-        }
-    }
-    let max_sessions = *session_counts.iter().max().unwrap();
-    let headline = {
-        let io = |b: &str| {
-            results
-                .iter()
-                .find(|r| r.backend == b && r.sessions == max_sessions)
-                .map(|r| r.io_secs)
-        };
-        match (io("threaded"), io("reactor")) {
-            (Some(t), Some(r)) if r > 0.0 => Some(t / r),
-            _ => None,
-        }
-    };
+    let results: Vec<RunResult> = session_counts.iter().map(|&s| run_one(s)).collect();
     // Smoke runs keep the harness alive in CI; never let their throwaway
     // numbers clobber the committed full-scale result.
     if !smoke || std::env::var("STDCHK_BENCH_OUT").is_ok() {
-        write_json(&results, headline);
+        write_json(&results);
     } else {
         println!("\nsmoke scale: skipping BENCH_reactor.json (set STDCHK_BENCH_OUT to force)");
     }

@@ -1,27 +1,22 @@
-//! Zero-copy data path benchmark: vectored/`sendfile` transmit vs the
-//! copying baseline, on the real TCP stack over loopback.
+//! Zero-copy data path benchmark: vectored/`sendfile` transmit on the
+//! real TCP stack over loopback, against one single-benefactor pool:
 //!
-//! Two identical single-benefactor pools run side by side, differing only
-//! in `STDCHK_ZEROCOPY` (captured at spawn/dial time by each pool and its
-//! clients):
-//!
-//! - **ingest**: each round writes one fresh file per arm through the
-//!   client (round-unique content, so dedup ships every byte); the
-//!   client-side difference is writev of shared payload segments vs
-//!   flattening every `PutChunk` into a contiguous buffer;
+//! - **ingest**: each round writes one fresh file through the client
+//!   (round-unique content, so dedup ships every byte); `PutChunk`
+//!   payloads leave as shared segments under `writev`;
 //! - **saturated read**: a raw pipelined data-plane client (windowed
-//!   `GetChunk`, identical in both arms) drains the first file straight
-//!   off one benefactor. All data chunks are force-sealed beforehand
-//!   (a roller put rotates the active segment), so the zero-copy arm
-//!   serves every payload with `sendfile` — the copying arm preads and
-//!   flattens. The server's transport counters are recorded as proof:
-//!   the zero-copy arm must report **zero** copied payload bytes.
+//!   `GetChunk`) drains the first file straight off the benefactor. All
+//!   data chunks are force-sealed beforehand (a roller put rotates the
+//!   active segment), so every payload is served with `sendfile`. The
+//!   server's transport counters are recorded as proof: the run must
+//!   report **zero** copied payload bytes.
 //!
-//! Rounds alternate arm order and the headline is the median of paired
-//! per-round ratios (like `store.rs`), so drift cancels. Writes
-//! `BENCH_zerocopy.json` at the workspace root (override with
-//! `STDCHK_BENCH_OUT`). `--smoke` / `STDCHK_BENCH_SMOKE=1` shrinks the
-//! file and round count so CI finishes in seconds.
+//! Each number is the median over rounds. The committed
+//! `BENCH_zerocopy.json` also records the copying transmit path this
+//! replaced (since removed). Writes `BENCH_zerocopy.json` at the
+//! workspace root (override with `STDCHK_BENCH_OUT`). `--smoke` /
+//! `STDCHK_BENCH_SMOKE=1` shrinks the file and round count so CI
+//! finishes in seconds.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -51,30 +46,16 @@ fn payload(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-struct Arm {
-    name: &'static str,
-    /// `STDCHK_ZEROCOPY` value this arm's servers and clients capture.
-    env: &'static str,
+struct Pool {
     mgr: ManagerServer,
     benef: BenefactorServer,
     store: Arc<SegmentStore>,
     grid: Grid,
     dir: std::path::PathBuf,
-    ingest_secs: Vec<f64>,
-    read_secs: Vec<f64>,
 }
 
-impl Arm {
-    /// Re-asserts this arm's env before any operation that may lazily
-    /// dial a connection (dial-side `ConnOpts` read it at connect time).
-    fn enter(&self) {
-        std::env::set_var("STDCHK_ZEROCOPY", self.env);
-    }
-}
-
-fn spawn_arm(name: &'static str, env: &'static str) -> Arm {
-    std::env::set_var("STDCHK_ZEROCOPY", env);
-    let dir = std::env::temp_dir().join(format!("stdchk-bench-zc-{name}-{}", std::process::id()));
+fn spawn_pool() -> Pool {
+    let dir = std::env::temp_dir().join(format!("stdchk-bench-zc-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let mut pool_cfg = PoolConfig::fast_for_tests();
     pool_cfg.chunk_size = CHUNK;
@@ -84,7 +65,6 @@ fn spawn_arm(name: &'static str, env: &'static str) -> Arm {
     let opts = ServerOpts {
         workers: 4,
         idle_timeout: Some(Duration::from_secs(300)),
-        ..ServerOpts::default()
     };
     let mgr = ManagerServer::spawn_with("127.0.0.1:0", pool_cfg, opts).expect("manager");
     let store = Arc::new(
@@ -114,22 +94,17 @@ fn spawn_arm(name: &'static str, env: &'static str) -> Arm {
         std::thread::sleep(Duration::from_millis(10));
     }
     let grid = Grid::connect(&mgr.addr().to_string()).expect("connect");
-    Arm {
-        name,
-        env,
+    Pool {
         mgr,
         benef,
         store,
         grid,
         dir,
-        ingest_secs: Vec::new(),
-        read_secs: Vec::new(),
     }
 }
 
 /// Writes one round-unique file through the client; returns seconds.
-fn ingest_round(arm: &Arm, round: usize, data: &[u8]) -> f64 {
-    arm.enter();
+fn ingest_round(pool: &Pool, round: usize, data: &[u8]) -> f64 {
     let write_opts = WriteOptions {
         session: SessionConfig {
             protocol: WriteProtocol::SlidingWindow { buffer: 8 << 20 },
@@ -138,7 +113,7 @@ fn ingest_round(arm: &Arm, round: usize, data: &[u8]) -> f64 {
         ..WriteOptions::default()
     };
     let start = Instant::now();
-    let mut w = arm
+    let mut w = pool
         .grid
         .create(&format!("/bench/zc-r{round}.n0"), write_opts)
         .expect("create");
@@ -152,13 +127,12 @@ fn ingest_round(arm: &Arm, round: usize, data: &[u8]) -> f64 {
 ///
 /// The drain parses only the 4-byte frame-length headers and skips body
 /// bytes through a fixed scratch buffer — no per-frame allocation or
-/// decode. The client thus costs exactly one socket copy per byte in
-/// BOTH arms (this is a single-core box: client and server timeshare
-/// the CPU), so the measured difference is the server's transmit path.
-/// `verify_read` separately decodes a full sweep for correctness.
-fn read_round(arm: &Arm, chunks: &[(ChunkId, u32)]) -> f64 {
-    arm.enter();
-    let mut stream = TcpStream::connect(arm.benef.addr()).expect("dial benefactor");
+/// decode. The client thus costs exactly one socket copy per byte (client
+/// and server timeshare the CPU), so the time is dominated by the
+/// server's transmit path. `verify_read` separately decodes a full sweep
+/// for correctness.
+fn read_round(pool: &Pool, chunks: &[(ChunkId, u32)]) -> f64 {
+    let mut stream = TcpStream::connect(pool.benef.addr()).expect("dial benefactor");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .expect("timeout");
@@ -208,9 +182,8 @@ fn read_round(arm: &Arm, chunks: &[(ChunkId, u32)]) -> f64 {
 }
 
 /// Full byte-exact verification of one sweep (outside any timing).
-fn verify_read(arm: &Arm, chunks: &[(ChunkId, u32)], data: &[u8]) {
-    arm.enter();
-    let mut stream = TcpStream::connect(arm.benef.addr()).expect("dial benefactor");
+fn verify_read(pool: &Pool, chunks: &[(ChunkId, u32)], data: &[u8]) {
+    let mut stream = TcpStream::connect(pool.benef.addr()).expect("dial benefactor");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .expect("timeout");
@@ -232,8 +205,7 @@ fn verify_read(arm: &Arm, chunks: &[(ChunkId, u32)], data: &[u8]) {
         assert_eq!(
             &got[..],
             &data[off..off + *size as usize],
-            "[{}] chunk {i} corrupted",
-            arm.name
+            "chunk {i} corrupted"
         );
         off += *size as usize;
     }
@@ -252,45 +224,34 @@ fn main() {
     let file_bytes: usize = if smoke { 8 << 20 } else { 64 << 20 };
     let rounds: usize = if smoke { 2 } else { 7 };
     println!(
-        "zero-copy bench: {} MiB file, {} MiB chunks, {rounds} paired rounds{}",
+        "zero-copy bench: {} MiB file, {} MiB chunks, {rounds} rounds{}",
         file_bytes >> 20,
         CHUNK >> 20,
         if smoke { " (smoke scale)" } else { "" }
     );
 
-    let mut zc = spawn_arm("zerocopy", "on");
-    let mut copy = spawn_arm("copy", "off");
+    let pool = spawn_pool();
 
-    // --- Ingest rounds: one fresh file per arm per round, order
-    // alternating. Round-unique content defeats cross-round dedup.
+    // --- Ingest rounds: one fresh file per round. Round-unique content
+    // defeats cross-round dedup.
+    let mut ingest_secs = Vec::with_capacity(rounds);
     for round in 0..rounds {
         let data = payload(file_bytes, 1000 + round as u64);
-        let (first, second): (&Arm, &Arm) = if round % 2 == 0 {
-            (&copy, &zc)
-        } else {
-            (&zc, &copy)
-        };
-        let t1 = ingest_round(first, round, &data);
-        let t2 = ingest_round(second, round, &data);
-        let (tc, tz) = if round % 2 == 0 { (t1, t2) } else { (t2, t1) };
-        copy.ingest_secs.push(tc);
-        zc.ingest_secs.push(tz);
+        let t = ingest_round(&pool, round, &data);
+        ingest_secs.push(t);
         println!(
-            "  ingest r{round}: copy {:7.1} MB/s   zerocopy {:7.1} MB/s",
-            to_mbps(file_bytes as f64 / tc),
-            to_mbps(file_bytes as f64 / tz),
+            "  ingest r{round}: {:7.1} MB/s",
+            to_mbps(file_bytes as f64 / t)
         );
     }
 
     // --- Seal everything: one oversized roller put rotates the active
-    // segment, so every data chunk is in a sealed segment and the
-    // zero-copy arm serves exclusively via sendfile.
-    for arm in [&zc, &copy] {
-        let roller = vec![0u8; SEGMENT_BYTES as usize];
-        arm.store
-            .put(ChunkId::for_content(b"zc-bench-roller"), &roller)
-            .expect("roller put");
-    }
+    // segment, so every data chunk is in a sealed segment and is served
+    // exclusively via sendfile.
+    let roller = vec![0u8; SEGMENT_BYTES as usize];
+    pool.store
+        .put(ChunkId::for_content(b"zc-bench-roller"), &roller)
+        .expect("roller put");
 
     // Reads sweep round 0's file; its chunk ids are content-derived.
     let read_data = payload(file_bytes, 1000);
@@ -298,67 +259,33 @@ fn main() {
         .chunks(CHUNK as usize)
         .map(|c| (ChunkId::for_content(c), c.len() as u32))
         .collect();
-    verify_read(&zc, &chunks, &read_data);
-    verify_read(&copy, &chunks, &read_data);
+    verify_read(&pool, &chunks, &read_data);
 
-    let zc_before = zc.benef.transport_stats().expect("reactor stats");
-    let copy_before = copy.benef.transport_stats().expect("reactor stats");
+    let before = pool.benef.transport_stats().expect("transport stats");
 
-    // --- Saturated-read rounds, order alternating.
+    // --- Saturated-read rounds.
+    let mut read_secs = Vec::with_capacity(rounds);
     for round in 0..rounds {
-        let (first, second): (&Arm, &Arm) = if round % 2 == 0 {
-            (&zc, &copy)
-        } else {
-            (&copy, &zc)
-        };
-        let t1 = read_round(first, &chunks);
-        let t2 = read_round(second, &chunks);
-        let (tz, tc) = if round % 2 == 0 { (t1, t2) } else { (t2, t1) };
-        zc.read_secs.push(tz);
-        copy.read_secs.push(tc);
+        let t = read_round(&pool, &chunks);
+        read_secs.push(t);
         println!(
-            "  read   r{round}: copy {:7.1} MB/s   zerocopy {:7.1} MB/s",
-            to_mbps(file_bytes as f64 / tc),
-            to_mbps(file_bytes as f64 / tz),
+            "  read   r{round}: {:7.1} MB/s",
+            to_mbps(file_bytes as f64 / t)
         );
     }
 
-    let zc_stats = zc.benef.transport_stats().expect("reactor stats");
-    let copy_stats = copy.benef.transport_stats().expect("reactor stats");
-    let zc_read_copied = zc_stats.copied_payload_tx - zc_before.copied_payload_tx;
-    let copy_read_copied = copy_stats.copied_payload_tx - copy_before.copied_payload_tx;
-    println!(
-        "  counters over reads: zerocopy arm copied {zc_read_copied} B \
-         (zero-copy {} B); copy arm copied {copy_read_copied} B",
-        zc_stats.zerocopy_payload_tx - zc_before.zerocopy_payload_tx,
-    );
+    let after = pool.benef.transport_stats().expect("transport stats");
+    let read_copied = after.copied_payload_tx - before.copied_payload_tx;
+    let read_zerocopy = after.zerocopy_payload_tx - before.zerocopy_payload_tx;
+    println!("  counters over reads: copied {read_copied} B, zero-copy {read_zerocopy} B");
     assert_eq!(
-        zc_read_copied, 0,
+        read_copied, 0,
         "sealed-segment reads must not copy a single payload byte"
     );
-    assert!(
-        copy_read_copied > 0,
-        "baseline arm must exercise the copying path"
-    );
 
-    // Median of paired per-round ratios: robust to drift and outliers.
-    let ratio_of = |copy_secs: &[f64], zc_secs: &[f64]| {
-        let mut ratios: Vec<f64> = copy_secs.iter().zip(zc_secs).map(|(c, z)| c / z).collect();
-        ratios.sort_by(f64::total_cmp);
-        ratios[ratios.len() / 2]
-    };
-    let read_speedup = ratio_of(&copy.read_secs, &zc.read_secs);
-    let ingest_speedup = ratio_of(&copy.ingest_secs, &zc.ingest_secs);
-    let read_mbps = |a: &Arm| to_mbps(file_bytes as f64 / median(&a.read_secs));
-    let ingest_mbps = |a: &Arm| to_mbps(file_bytes as f64 / median(&a.ingest_secs));
-    println!(
-        "\nsaturated read: zerocopy {:.1} MB/s vs copy {:.1} MB/s — {read_speedup:.2}x\n\
-         ingest:         zerocopy {:.1} MB/s vs copy {:.1} MB/s — {ingest_speedup:.2}x",
-        read_mbps(&zc),
-        read_mbps(&copy),
-        ingest_mbps(&zc),
-        ingest_mbps(&copy),
-    );
+    let read_mbps = to_mbps(file_bytes as f64 / median(&read_secs));
+    let ingest_mbps = to_mbps(file_bytes as f64 / median(&ingest_secs));
+    println!("\nsaturated read: {read_mbps:.1} MB/s\ningest:         {ingest_mbps:.1} MB/s");
 
     // Smoke runs keep the harness alive in CI; never let their throwaway
     // numbers clobber the committed full-scale result.
@@ -366,33 +293,13 @@ fn main() {
         let out_path = std::env::var("STDCHK_BENCH_OUT").unwrap_or_else(|_| {
             format!("{}/../../BENCH_zerocopy.json", env!("CARGO_MANIFEST_DIR"))
         });
-        let arm_json = |a: &Arm, read_copied: u64, zc_bytes: u64| {
-            format!(
-                "    {{\"arm\": \"{}\", \"ingest_mb_per_s\": {:.1}, \"read_mb_per_s\": {:.1}, \
-                 \"read_copied_payload_bytes\": {}, \"read_zerocopy_payload_bytes\": {}}}",
-                a.name,
-                ingest_mbps(a),
-                read_mbps(a),
-                read_copied,
-                zc_bytes,
-            )
-        };
         let body = format!(
             "{{\n  \"bench\": \"zerocopy\",\n  \"file_bytes\": {file_bytes},\n  \
              \"chunk_bytes\": {CHUNK},\n  \"segment_bytes\": {SEGMENT_BYTES},\n  \
              \"rounds\": {rounds},\n  \
-             \"read_speedup_zerocopy_vs_copy\": {read_speedup:.2},\n  \
-             \"ingest_speedup_zerocopy_vs_copy\": {ingest_speedup:.2},\n  \"results\": [\n{},\n{}\n  ]\n}}\n",
-            arm_json(
-                &zc,
-                zc_read_copied,
-                zc_stats.zerocopy_payload_tx - zc_before.zerocopy_payload_tx
-            ),
-            arm_json(
-                &copy,
-                copy_read_copied,
-                copy_stats.zerocopy_payload_tx - copy_before.zerocopy_payload_tx
-            ),
+             \"result\": {{\"ingest_mb_per_s\": {ingest_mbps:.1}, \"read_mb_per_s\": {read_mbps:.1}, \
+             \"read_copied_payload_bytes\": {read_copied}, \
+             \"read_zerocopy_payload_bytes\": {read_zerocopy}}}\n}}\n",
         );
         let mut f = std::fs::File::create(&out_path).expect("create BENCH_zerocopy.json");
         f.write_all(body.as_bytes())
@@ -402,11 +309,9 @@ fn main() {
         println!("smoke scale: skipping BENCH_zerocopy.json (set STDCHK_BENCH_OUT to force)");
     }
 
-    for arm in [zc, copy] {
-        arm.benef.shutdown();
-        arm.mgr.shutdown();
-        let dir = arm.dir.clone();
-        drop(arm);
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    pool.benef.shutdown();
+    pool.mgr.shutdown();
+    let dir = pool.dir.clone();
+    drop(pool);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,27 +1,23 @@
 //! A benefactor (storage donor) as a TCP node.
 //!
 //! The sans-IO [`Benefactor`] runs behind the same generic [`NodeHost`]
-//! as the manager, over either transport ([`crate::Backend`]):
+//! as the manager. Both planes — the manager control connection and the
+//! data-path listener — live on one epoll [`Reactor`]. Workers decode
+//! and `deliver`; joins/heartbeats/GC/timeouts fire from `poll_timeout`
+//! folded into `epoll_wait`; peer replication connections are dialed
+//! (and the manager redialed after a restart) on the reactor's blocking
+//! lane so workers never block.
 //!
-//! - **reactor** (default): both planes — the manager control connection
-//!   and the data-path listener — live on one epoll
-//!   [`Reactor`]. Workers decode and `deliver`;
-//!   joins/heartbeats/GC/timeouts fire from `poll_timeout` folded into
-//!   `epoll_wait`; peer replication connections are dialed (and the
-//!   manager redialed after a restart) on the reactor's blocking lane so
-//!   workers never block;
-//! - **threaded** (legacy): reader thread per connection plus the shared
-//!   `run_node` timer loop.
-//!
-//! Either way [`BenefEffects`] executes the unified actions — transmit
-//! over the right connection, store/load/delete against a [`ChunkStore`].
+//! [`BenefEffects`] executes the unified actions — transmit over the
+//! right connection, store/load/delete against a [`ChunkStore`]. Store
+//! batches are appended on the pump and their group-commit waits ride a
+//! disk [`IoLane`]; sealed chunks are served by `sendfile`.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use stdchk_util::ordlock::OrderedMutex;
@@ -36,14 +32,15 @@ use stdchk_proto::ids::{ChunkId, NodeId, RequestId};
 use stdchk_proto::msg::{Msg, Role};
 use stdchk_util::Time;
 
-use crate::conn::{dial, read_frame_timeout, read_loop, Clock, Link, Sender, DIAL_TIMEOUT};
-use crate::driver::{spawn_node_loop, Effects, NodeHost};
+use crate::conn::{dial, read_frame_timeout, Clock, Link, DIAL_TIMEOUT};
+use crate::driver::{Effects, NodeHost};
 use crate::iolane::IoLane;
 use crate::reactor::{
-    CloseReason, ConnOpts, ConnToken, Reactor, ReactorApp, ReactorConfig, ReactorHandle, WeakHandle,
+    CloseReason, ConnOpts, ConnToken, Reactor, ReactorApp, ReactorConfig, ReactorHandle,
+    TransportStats, WeakHandle,
 };
 use crate::store::ChunkStore;
-use crate::{Backend, ServerOpts};
+use crate::ServerOpts;
 
 /// Configuration of a networked benefactor.
 pub struct BenefactorNetConfig {
@@ -64,9 +61,8 @@ pub struct BenefactorNetConfig {
 ///
 /// Fully blocking request/response on one lazily-dialed socket — no
 /// reader thread — with connect *and read* timeouts on every step, so a
-/// dead or wedged manager can never hang the calling thread. Callers are
-/// threads that are allowed to block: threaded-mode pump threads, or the
-/// reactor's blocking lane (never a reactor worker).
+/// dead or wedged manager can never hang the calling thread. The only
+/// caller is the reactor's blocking lane (never a reactor worker).
 struct ResolveClient {
     addr: String,
     stream: Option<TcpStream>,
@@ -99,7 +95,7 @@ impl ResolveClient {
         let mut stream = match self.stream.take() {
             Some(s) => s,
             None => {
-                // stdchk-allow(no-blocking-on-pump): blocking resolver RPC: ResolveClient runs on the blocking lane or the threaded backend's own threads, never a pump worker
+                // stdchk-allow(no-blocking-on-pump): blocking resolver RPC: ResolveClient runs on the blocking lane, never a pump worker
                 let s = dial(&self.addr, DIAL_TIMEOUT).ok()?;
                 write_frame(
                     &mut &s,
@@ -164,21 +160,13 @@ pub struct BenefEffects {
     /// Outbound replication connections to peer benefactors (real ids).
     peers: OrderedMutex<HashMap<NodeId, PeerState>>,
     resolver: OrderedMutex<ResolveClient>,
-    /// Back-reference for peer reply readers and I/O-lane completions
-    /// (set once at spawn, both backends).
-    host: OrderedMutex<Option<Arc<BenefHost>>>,
-    /// Reactor-mode context for deferred peer dials (None under the
-    /// threaded backend).
-    rapp: OrderedMutex<Option<Arc<BenefApp>>>,
-    /// Durable store waits ride here instead of the executing pump
-    /// (None: inline execution, the `STDCHK_IO_LANE=off` baseline).
-    lane: Option<Arc<IoLane>>,
-    /// Serve `GetChunk` replies for sealed segments straight from the
-    /// segment file via [`ReactorHandle::send_file_region`] — the payload
-    /// never enters user space. Reactor backend only, gated by
-    /// `STDCHK_ZEROCOPY`; the threaded backend and unsealed/verifying
-    /// stores always materialize.
-    zerocopy: bool,
+    /// The reactor app — and through it the host — for deferred peer
+    /// dials and I/O-lane completions. Set once at spawn; cleared at
+    /// shutdown to break the effects → app → host → effects cycle.
+    app: OrderedMutex<Option<Arc<BenefApp>>>,
+    /// Durable store waits and deferred compaction ride here instead of
+    /// the executing pump.
+    lane: Arc<IoLane>,
 }
 
 type BenefHost = NodeHost<Benefactor, Arc<BenefEffects>>;
@@ -213,20 +201,20 @@ impl Effects for Arc<BenefEffects> {
                 }
                 None
             }
-            Action::Store { op, chunk, payload } => self
-                .store
-                .put(chunk, &payload.bytes())
-                .ok()
-                .map(|()| Completion::Stored { op }),
+            Action::Store { op, chunk, payload } => {
+                self.flush_stores(&mut vec![(op, chunk, payload)]);
+                None
+            }
             Action::Load {
                 op, chunk, serve, ..
             } => {
-                if serve && self.zerocopy {
+                if serve {
                     // Sealed, checksummed-at-rest chunk: answer with a
                     // virtual payload; the Send above re-derives the
                     // region and ships it via sendfile. Loads the node
                     // itself consumes (replication pushes, delta bases)
                     // have `serve: false` and always get real bytes.
+                    // Unsealed chunks have no region and materialize.
                     if let Some(region) = self.store.read_region(chunk) {
                         return Some(Completion::Loaded {
                             op,
@@ -262,43 +250,43 @@ impl Effects for Arc<BenefEffects> {
     }
 
     /// Coalesces the queued `Store` actions of one drained batch into a
-    /// single blob-store `put_batch`, so a group-commit engine
+    /// single blob-store batch submit, so a group-commit engine
     /// ([`crate::store::SegmentStore`]) absorbs a whole ingest burst with
     /// one flush. Relative order of non-store actions is preserved; stores
-    /// flush before any later non-store action executes.
+    /// are submitted before any later non-store action executes.
     fn execute_batch(&self, actions: &mut Vec<Action>, completions: &mut Vec<Completion>) {
         let mut stores: Vec<(u64, ChunkId, Payload)> = Vec::new();
         for action in actions.drain(..) {
             match action {
                 Action::Store { op, chunk, payload } => stores.push((op, chunk, payload)),
                 other => {
-                    self.flush_stores(&mut stores, completions);
+                    self.flush_stores(&mut stores);
                     if let Some(c) = self.execute(other) {
                         completions.push(c);
                     }
                 }
             }
         }
-        self.flush_stores(&mut stores, completions);
+        self.flush_stores(&mut stores);
     }
 }
 
 impl BenefEffects {
     /// Ships a zero-copy `GetChunkOk`: re-derive the sealed-segment
     /// region and hand it to the reactor as a pre-encoded frame head +
-    /// `sendfile` payload. Falls back to materializing the chunk when
-    /// the link is not a reactor connection or the region vanished
-    /// (compaction moved the chunk between Load and Send — the re-read
-    /// serves the bytes from wherever they live now). If the chunk is
-    /// gone entirely the reply is dropped: the requester's timeout fails
-    /// it over, exactly like a send on a dead connection.
+    /// `sendfile` payload. Falls back to materializing the chunk when the
+    /// region vanished (compaction moved the chunk between Load and Send
+    /// — the re-read serves the bytes from wherever they live now) or the
+    /// requester is a peer without an inbound link. If the chunk is gone
+    /// entirely the reply is dropped: the requester's timeout fails it
+    /// over, exactly like a send on a dead connection.
     fn send_region_reply(self: &Arc<Self>, to: NodeId, req: RequestId, chunk: ChunkId, size: u32) {
         let link = if to == MANAGER_NODE {
             Some(self.mgr.lock().clone())
         } else {
             self.conns.lock().get(&to).cloned()
         };
-        if let Some(Link::Event { handle, token }) = &link {
+        if let Some(Link { handle, token }) = &link {
             if let (Some(region), Some(h)) = (self.store.read_region(chunk), handle.upgrade()) {
                 let head = frame::get_chunk_ok_frame_head(req, chunk, size, region.len);
                 let _ = h.send_file_region(
@@ -332,65 +320,42 @@ impl BenefEffects {
     /// the I/O lane. Nonblocking and lossy by design: a refused submit
     /// just waits for the next delete/batch to re-offer it.
     fn schedule_maintenance(&self) {
-        if let Some(lane) = &self.lane {
-            let store = Arc::clone(&self.store);
-            let _ = lane.try_submit(move || {
-                let _ = store.maintain();
-            });
-        }
+        let store = Arc::clone(&self.store);
+        let _ = self.lane.try_submit(move || {
+            let _ = store.maintain();
+        });
     }
 
-    /// Runs one buffered store batch; every chunk acks `Stored` on success.
-    /// On failure nothing acks — the writer times out and fails over, same
-    /// as a single failed put.
-    ///
-    /// With the disk I/O lane attached the batch is *submitted*
-    /// (appended — fixing the engine's record order now, so a later
-    /// `DropChunk` in the same drain still lands after these records)
-    /// and only the durability wait rides the lane; the lane completion
-    /// feeds the `Stored` acks back through the host. Inline otherwise.
-    fn flush_stores(
-        &self,
-        stores: &mut Vec<(u64, ChunkId, Payload)>,
-        completions: &mut Vec<Completion>,
-    ) {
+    /// Submits one buffered store batch: the records are appended now —
+    /// fixing the engine's record order, so a later `DropChunk` in the
+    /// same drain still lands after them — and only the durability wait
+    /// rides the I/O lane, whose completion feeds every chunk's `Stored`
+    /// ack back through the host. On failure nothing acks: the writer
+    /// times out and fails over, same as a single failed put.
+    fn flush_stores(&self, stores: &mut Vec<(u64, ChunkId, Payload)>) {
         if stores.is_empty() {
             return;
         }
+        let Some(app) = self.app.lock().clone() else {
+            // Shut down: nothing acks, exactly like a dying server.
+            stores.clear();
+            return;
+        };
         let payloads: Vec<_> = stores.iter().map(|(_, _, p)| p.bytes()).collect();
         let batch: Vec<(ChunkId, &[u8])> = stores
             .iter()
             .zip(&payloads)
             .map(|((_, chunk, _), bytes)| (*chunk, &bytes[..]))
             .collect();
-        let host = self.lane.as_ref().and_then(|_| self.host.lock().clone());
-        if let (Some(lane), Some(host)) = (&self.lane, host) {
-            match self.store.submit_put_batch(&batch) {
-                Ok(token) => {
-                    let ops: Vec<u64> = stores.drain(..).map(|(op, _, _)| op).collect();
-                    let store = Arc::clone(&self.store);
-                    // The reactor's timer eventfd, so a Stored-completion
-                    // that re-arms an earlier protocol deadline wakes
-                    // worker 0 (None under the threaded backend, whose
-                    // run_node loop is woken by `complete_all` itself).
-                    let handle = self
-                        .rapp
-                        .lock()
-                        .as_ref()
-                        .and_then(|app| app.handle.get().cloned());
-                    if !lane.submit(move || finish_put_batch(&store, &host, token, ops, handle)) {
-                        // Lane shut down under us: nothing acks; the
-                        // writers time out, exactly like a dying server.
-                    }
-                }
-                Err(_) => stores.clear(),
-            }
-            return;
-        }
-        if self.store.put_batch(&batch).is_ok() {
-            completions.extend(stores.drain(..).map(|(op, _, _)| Completion::Stored { op }));
-        } else {
-            stores.clear();
+        let submitted = self.store.submit_put_batch(&batch);
+        let ops: Vec<u64> = stores.drain(..).map(|(op, _, _)| op).collect();
+        if let Ok(token) = submitted {
+            let store = Arc::clone(&self.store);
+            // A refused submit means the lane shut down under us: nothing
+            // acks; the writers time out, exactly like a dying server.
+            let _ = self
+                .lane
+                .submit(move || finish_put_batch(&store, &app, token, ops));
         }
     }
 }
@@ -398,20 +363,17 @@ impl BenefEffects {
 /// I/O-lane job: wait out the submitted batch's group commit, then feed
 /// every chunk's `Stored` ack back through the host (whose pump — on
 /// this lane thread — drains the resulting `PutChunkOk` sends).
-fn finish_put_batch(
-    store: &Arc<dyn ChunkStore>,
-    host: &Arc<BenefHost>,
-    token: u64,
-    ops: Vec<u64>,
-    handle: Option<WeakHandle>,
-) {
+fn finish_put_batch(store: &Arc<dyn ChunkStore>, app: &BenefApp, token: u64, ops: Vec<u64>) {
     if store.wait_put(token).is_err() {
-        // Nothing acks: the writers time out and fail over, exactly
-        // like a failed inline put.
+        // Nothing acks: the writers time out and fail over.
         return;
     }
-    host.complete_all(ops.into_iter().map(|op| Completion::Stored { op }));
-    if let Some(h) = handle.and_then(|w| w.upgrade()) {
+    if let Some(host) = app.host.get() {
+        host.complete_all(ops.into_iter().map(|op| Completion::Stored { op }));
+    }
+    // A `Stored` completion may re-arm an earlier protocol deadline:
+    // wake worker 0 so it recomputes its sleep.
+    if let Some(h) = app.handle.get().and_then(WeakHandle::upgrade) {
         h.notify_timer();
     }
     // Already on a lane thread: run any compaction the batch's
@@ -420,68 +382,14 @@ fn finish_put_batch(
 }
 
 impl BenefEffects {
-    /// Sends to a peer benefactor, establishing the connection on first
-    /// use. Under the threaded backend the dial happens inline (the
-    /// calling pump thread may block); under the reactor it is deferred
-    /// to the blocking lane with the message queued.
+    /// Sends to a peer benefactor without ever blocking the calling
+    /// worker. An unestablished peer gets a `Dialing` entry and a
+    /// blocking-lane job that resolves, dials, registers and flushes the
+    /// queue.
     fn send_to_peer(self: &Arc<Self>, to: NodeId, msg: Msg) {
-        let rapp = self.rapp.lock().clone();
-        match rapp {
-            Some(app) => self.send_to_peer_reactor(&app, to, msg),
-            None => self.send_to_peer_threaded(to, msg),
-        }
-    }
-
-    fn send_to_peer_threaded(self: &Arc<Self>, to: NodeId, msg: Msg) {
-        let existing = match self.peers.lock().get(&to) {
-            Some(PeerState::Up(l)) => Some(l.clone()),
-            _ => None,
+        let Some(app) = self.app.lock().clone() else {
+            return;
         };
-        let link = match existing {
-            Some(l) => l,
-            None => {
-                let Some(addr) = self.resolver.lock().resolve(to) else {
-                    return;
-                };
-                // stdchk-allow(no-blocking-on-pump): threaded backend only: thread-per-connection, blocking is that backend's design
-                let Ok(stream) = dial(&addr, DIAL_TIMEOUT) else {
-                    return;
-                };
-                let Ok(reader) = stream.try_clone() else {
-                    return;
-                };
-                let sender = Sender::new(stream);
-                // The data-path listener ignores Hello payloads; announce
-                // with the null id.
-                let _ = sender.send(&Msg::Hello {
-                    role: Role::Benefactor,
-                    node: NodeId(0),
-                });
-                // Replies (PutChunkOk / ErrorReply) feed the state machine.
-                let host = self.host.lock().clone();
-                if let Some(host) = host {
-                    thread::Builder::new()
-                        .name("stdchk-benef-peer".into())
-                        .spawn(move || {
-                            // stdchk-allow(no-blocking-on-pump): dedicated peer-reader thread (stdchk-benef-peer), not a pump worker
-                            read_loop(reader, move |m| host.deliver(to, m));
-                        })
-                        .expect("spawn peer reader");
-                }
-                let link = Link::Thread(sender);
-                self.peers.lock().insert(to, PeerState::Up(link.clone()));
-                link
-            }
-        };
-        if link.send(&msg).is_err() {
-            self.peers.lock().remove(&to);
-        }
-    }
-
-    /// Reactor mode: never blocks the calling worker. An unestablished
-    /// peer gets a `Dialing` entry and a blocking-lane job that resolves,
-    /// dials, registers and flushes the queue.
-    fn send_to_peer_reactor(self: &Arc<Self>, app: &Arc<BenefApp>, to: NodeId, msg: Msg) {
         let mut peers = self.peers.lock();
         match peers.get_mut(&to) {
             Some(PeerState::Up(link)) => {
@@ -500,7 +408,6 @@ impl BenefEffects {
                     return;
                 };
                 let effects = Arc::clone(self);
-                let app = Arc::clone(app);
                 handle.spawn_blocking(move |h| dial_peer(&effects, &app, to, h));
             }
         }
@@ -519,7 +426,7 @@ fn dial_peer(effects: &Arc<BenefEffects>, app: &Arc<BenefApp>, to: NodeId, h: &R
         let token = h.prepare(stream, ConnOpts::dial_default()).ok()?;
         app.kinds.lock().insert(token, BKind::Peer(to));
         h.arm(token);
-        let link = Link::Event {
+        let link = Link {
             handle: h.downgrade(),
             token,
         };
@@ -619,7 +526,7 @@ fn mgr_redial(app: &Arc<BenefApp>, h: &ReactorHandle) {
         let token = h.prepare(stream, ConnOpts::dial_default()).ok()?;
         app.kinds.lock().insert(token, BKind::Mgr);
         h.arm(token);
-        let link = Link::Event {
+        let link = Link {
             handle: h.downgrade(),
             token,
         };
@@ -653,7 +560,7 @@ impl ReactorApp for BenefApp {
         self.kinds.lock().insert(conn, BKind::Data(id));
         host.effects().conns.lock().insert(
             id,
-            Link::Event {
+            Link {
                 handle: handle.clone(),
                 token: conn,
             },
@@ -683,19 +590,14 @@ impl ReactorApp for BenefApp {
             }
             Some(BKind::Peer(node)) => {
                 let mut peers = host.effects().peers.lock();
-                if let Some(PeerState::Up(Link::Event { token, .. })) = peers.get(&node) {
-                    if *token == conn {
-                        peers.remove(&node);
-                    }
+                if matches!(peers.get(&node), Some(PeerState::Up(link)) if link.token == conn) {
+                    peers.remove(&node);
                 }
             }
             Some(BKind::Mgr) => {
                 // Only the *current* control connection triggers a redial
                 // chain (a stale one may close after a successor exists).
-                let is_current = matches!(
-                    &*host.effects().mgr.lock(),
-                    Link::Event { token, .. } if *token == conn
-                );
+                let is_current = host.effects().mgr.lock().token == conn;
                 if is_current && !host.is_shutdown() {
                     self.schedule_mgr_redial(Duration::from_millis(250));
                 }
@@ -719,10 +621,7 @@ impl ReactorApp for BenefApp {
 pub struct BenefactorServer {
     host: Arc<BenefHost>,
     addr: SocketAddr,
-    /// The epoll transport (reactor backend only).
-    reactor: Option<Reactor>,
-    /// The disk I/O lane (None when `STDCHK_IO_LANE=off`).
-    lane: Option<Arc<IoLane>>,
+    reactor: Reactor,
 }
 
 impl std::fmt::Debug for BenefactorServer {
@@ -736,9 +635,8 @@ impl std::fmt::Debug for BenefactorServer {
 static CONN_IDS: AtomicU64 = AtomicU64::new(1);
 
 impl BenefactorServer {
-    /// Joins the pool and starts serving. Transport comes from
-    /// [`ServerOpts::default`] (the reactor, unless
-    /// `STDCHK_NET_BACKEND=threaded`).
+    /// Joins the pool and starts serving with [`ServerOpts::default`]
+    /// transport tuning.
     ///
     /// # Errors
     ///
@@ -753,14 +651,6 @@ impl BenefactorServer {
     ///
     /// As [`BenefactorServer::spawn`].
     pub fn spawn_with(net: BenefactorNetConfig, opts: ServerOpts) -> io::Result<BenefactorServer> {
-        match opts.backend {
-            Backend::Reactor => BenefactorServer::spawn_reactor(net, opts),
-            Backend::Threaded => BenefactorServer::spawn_threaded(net, opts),
-        }
-    }
-
-    /// Reactor backend: control + data planes on one epoll worker pool.
-    fn spawn_reactor(net: BenefactorNetConfig, opts: ServerOpts) -> io::Result<BenefactorServer> {
         let listener = TcpListener::bind(&net.listen)?;
         let addr = listener.local_addr()?;
         // stdchk-allow(no-blocking-on-pump): startup path on the caller's thread, before any pump worker exists
@@ -776,6 +666,9 @@ impl BenefactorServer {
 
         let mut sm = Benefactor::new(NodeId(0), net.total_space, net.cfg);
         sm.set_advertised_addr(addr.to_string());
+        // Adopt whatever survived a restart in the blob store. `entries()`
+        // comes from the store's index (or file metadata), so restart cost
+        // does not scale with the stored bytes.
         let clock = Clock::new();
         sm.adopt_existing(net.store.entries()?, clock.now());
 
@@ -798,16 +691,13 @@ impl BenefactorServer {
         let mgr_token = handle.prepare(mgr_stream, ConnOpts::dial_default())?;
         app.kinds.lock().insert(mgr_token, BKind::Mgr);
         handle.arm(mgr_token);
-        let mgr_link = Link::Event {
+        let mgr_link = Link {
             handle: handle.downgrade(),
             token: mgr_token,
         };
-        let lane = opts.io_lane.then(|| Arc::new(IoLane::new()));
-        if lane.is_some() {
-            // Compaction fsyncs defer to `maintain` on the lane instead
-            // of running on whichever pump executed the delete.
-            net.store.set_deferred_maintenance(true);
-        }
+        // Compaction fsyncs defer to `maintain` on the lane instead of
+        // running on whichever pump executed the delete.
+        net.store.set_deferred_maintenance(true);
         let effects = Arc::new(BenefEffects {
             store: net.store,
             mgr: OrderedMutex::new(ranks::BENEF_MGR, "benef.mgr", mgr_link),
@@ -818,152 +708,25 @@ impl BenefactorServer {
                 "benef.resolver",
                 ResolveClient::new(&net.manager_addr),
             ),
-            host: OrderedMutex::new(ranks::BENEF_HOST, "benef.host", None),
-            rapp: OrderedMutex::new(ranks::BENEF_RAPP, "benef.rapp", None),
-            lane: lane.clone(),
-            zerocopy: crate::zerocopy_enabled(),
+            app: OrderedMutex::new(ranks::BENEF_APP, "benef.app", None),
+            lane: Arc::new(IoLane::new()),
         });
         let host = NodeHost::new(sm, clock, Arc::clone(&effects));
-        let _ = app.host.set(Arc::clone(&host));
         let _ = app.handle.set(handle.downgrade());
-        *effects.rapp.lock() = Some(Arc::clone(&app));
-        // Lane completions feed Stored acks back through this reference.
-        *effects.host.lock() = Some(Arc::clone(&host));
+        // Peer dials and lane completions reach the host through the app.
+        *effects.app.lock() = Some(Arc::clone(&app));
+        let _ = app.host.set(Arc::clone(&host));
         // Join/heartbeat/GC timers fire from the reactor tick once the
-        // host is visible to the app (set above).
+        // host is visible to the app. Worker 0 may already be sleeping
+        // out a full sweep interval computed while it had no deadline;
+        // wake it so the join goes out now.
+        handle.notify_timer();
         handle.add_listener(listener, 0, ConnOpts::server_default(opts.idle_timeout))?;
 
         Ok(BenefactorServer {
             host,
             addr,
-            reactor: Some(reactor),
-            lane,
-        })
-    }
-
-    /// Legacy thread-per-connection backend.
-    fn spawn_threaded(net: BenefactorNetConfig, opts: ServerOpts) -> io::Result<BenefactorServer> {
-        let listener = TcpListener::bind(&net.listen)?;
-        let addr = listener.local_addr()?;
-        // stdchk-allow(no-blocking-on-pump): startup path on the caller's thread (threaded backend)
-        let mgr_stream = dial(&net.manager_addr, DIAL_TIMEOUT)?;
-        let mgr = Sender::new(mgr_stream.try_clone()?);
-        mgr.send(&Msg::Hello {
-            role: Role::Benefactor,
-            node: NodeId(0),
-        })
-        .map_err(|e| io::Error::other(format!("manager handshake failed: {e}")))?;
-
-        let mut sm = Benefactor::new(NodeId(0), net.total_space, net.cfg);
-        sm.set_advertised_addr(addr.to_string());
-        // Adopt whatever survived a restart in the blob store. `entries()`
-        // comes from the store's index (or file metadata), so restart cost
-        // does not scale with the stored bytes.
-        let clock = Clock::new();
-        sm.adopt_existing(net.store.entries()?, clock.now());
-
-        let first_reader = mgr.reader()?;
-        let lane = opts.io_lane.then(|| Arc::new(IoLane::new()));
-        if lane.is_some() {
-            net.store.set_deferred_maintenance(true);
-        }
-        let effects = Arc::new(BenefEffects {
-            store: net.store,
-            mgr: OrderedMutex::new(ranks::BENEF_MGR, "benef.mgr", Link::Thread(mgr)),
-            conns: OrderedMutex::new(ranks::BENEF_CONNS, "benef.conns", HashMap::new()),
-            peers: OrderedMutex::new(ranks::BENEF_PEERS, "benef.peers", HashMap::new()),
-            resolver: OrderedMutex::new(
-                ranks::BENEF_RESOLVER,
-                "benef.resolver",
-                ResolveClient::new(&net.manager_addr),
-            ),
-            host: OrderedMutex::new(ranks::BENEF_HOST, "benef.host", None),
-            rapp: OrderedMutex::new(ranks::BENEF_RAPP, "benef.rapp", None),
-            lane: lane.clone(),
-            // The blocking transport writes whole frames from one
-            // buffer; the sendfile path needs the reactor's resumable
-            // outbound queue.
-            zerocopy: false,
-        });
-        let host = NodeHost::new(sm, clock, Arc::clone(&effects));
-        *effects.host.lock() = Some(Arc::clone(&host));
-
-        // The generic event loop replaces the bespoke ticker: joining,
-        // heartbeats, GC reports, put timeouts and re-offers all fire from
-        // Benefactor::poll_timeout.
-        spawn_node_loop("stdchk-benef-node", Arc::clone(&host));
-
-        // Manager message stream, with reconnect: a benefactor outlives
-        // manager restarts — its next heartbeat re-registers it (soft
-        // state), and stashed commits are re-offered by its timers.
-        {
-            let host = Arc::clone(&host);
-            let manager_addr = net.manager_addr.clone();
-            thread::Builder::new()
-                .name("stdchk-benef-mgr".into())
-                .spawn(move || {
-                    let mut reader = Some(first_reader);
-                    loop {
-                        if host.is_shutdown() {
-                            return;
-                        }
-                        if let Some(r) = reader.take() {
-                            let h2 = Arc::clone(&host);
-                            // stdchk-allow(no-blocking-on-pump): dedicated manager-reader thread (stdchk-benef-mgr), not a pump worker
-                            read_loop(r, move |msg| h2.deliver(MANAGER_NODE, msg));
-                        }
-                        // Disconnected: redial until it works.
-                        loop {
-                            if host.is_shutdown() {
-                                return;
-                            }
-                            thread::sleep(Duration::from_millis(250));
-                            // stdchk-allow(no-blocking-on-pump): same dedicated manager-reader thread; redial loops here between read_loop sessions
-                            let Ok(stream) = dial(&manager_addr, DIAL_TIMEOUT) else {
-                                continue;
-                            };
-                            let Ok(rd) = stream.try_clone() else { continue };
-                            let sender = Sender::new(stream);
-                            let my_id = host.with_node(|n| n.id());
-                            let _ = sender.send(&Msg::Hello {
-                                role: Role::Benefactor,
-                                node: my_id,
-                            });
-                            *host.effects().mgr.lock() = Link::Thread(sender);
-                            reader = Some(rd);
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn mgr reader");
-        }
-
-        // Data-path listener.
-        {
-            let host = Arc::clone(&host);
-            thread::Builder::new()
-                .name("stdchk-benef-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if host.is_shutdown() {
-                            return;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        let host = Arc::clone(&host);
-                        thread::Builder::new()
-                            .name("stdchk-benef-conn".into())
-                            .spawn(move || serve_data_conn(host, stream))
-                            .expect("spawn conn");
-                    }
-                })
-                .expect("spawn accept");
-        }
-
-        Ok(BenefactorServer {
-            host,
-            addr,
-            reactor: None,
-            lane,
+            reactor,
         })
     }
 
@@ -987,31 +750,26 @@ impl BenefactorServer {
         self.host.with_node(|n| n.free_space())
     }
 
-    /// Cumulative transport counters (reactor backend only): bytes and
-    /// frames each way, plus copied vs zero-copy payload bytes — the
-    /// debug hook proving which transmit path served a workload.
-    pub fn transport_stats(&self) -> Option<crate::reactor::TransportStats> {
-        self.reactor.as_ref().map(|r| r.handle().transport_stats())
+    /// Cumulative transport counters: bytes and frames each way, plus
+    /// copied vs zero-copy payload bytes — the debug hook proving which
+    /// transmit path served a workload. Always `Some`; the `Option`
+    /// keeps the signature callers already match on.
+    pub fn transport_stats(&self) -> Option<TransportStats> {
+        Some(self.reactor.handle().transport_stats())
     }
 
-    /// Stops serving (threads exit as their sockets drain; the reactor
-    /// joins its workers).
+    /// Stops serving and joins every thread the benefactor started (the
+    /// I/O lane, then the reactor's workers).
     pub fn shutdown(&self) {
         self.host.shutdown();
         // Drain the lane before the reactor dies so in-flight durable
         // waits still get to ack (the store's flusher lives until the
         // store Arc drops, so queued waits complete rather than hang).
-        if let Some(lane) = &self.lane {
-            lane.shutdown();
-        }
-        if let Some(reactor) = &self.reactor {
-            reactor.shutdown();
-        }
-        let _ = TcpStream::connect(self.addr);
+        self.host.effects().lane.shutdown();
+        self.reactor.shutdown();
         self.host.effects().mgr.lock().shutdown();
-        // Break the host↔effects/app reference cycles so the node drops.
-        *self.host.effects().host.lock() = None;
-        *self.host.effects().rapp.lock() = None;
+        // Break the effects → app → host → effects cycle so the node drops.
+        *self.host.effects().app.lock() = None;
         for (_, c) in self.host.effects().conns.lock().drain() {
             c.shutdown();
         }
@@ -1027,31 +785,4 @@ impl Drop for BenefactorServer {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Serves one inbound data connection (client writes/reads or peer
-/// replication pushes).
-fn serve_data_conn(host: Arc<BenefHost>, stream: TcpStream) {
-    let sender = Sender::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let Ok(reader) = sender.reader() else { return };
-    // Synthetic per-connection peer id, registered so replies route back on
-    // this socket from any pumping thread.
-    let conn_id = NodeId((1 << 50) | CONN_IDS.fetch_add(1, Ordering::Relaxed));
-    host.effects()
-        .conns
-        .lock()
-        .insert(conn_id, Link::Thread(sender.clone()));
-    let host2 = Arc::clone(&host);
-    // stdchk-allow(no-blocking-on-pump): threaded backend per-connection reader thread
-    read_loop(reader, move |msg| match msg {
-        Msg::Hello { .. } | Msg::Pong { .. } => {}
-        Msg::Ping { nonce } => {
-            let _ = sender.send(&Msg::Pong { nonce });
-        }
-        other => host2.deliver(conn_id, other),
-    });
-    host.effects().conns.lock().remove(&conn_id);
 }

@@ -16,20 +16,15 @@
 //! and feeds [`Completion`]s back. The write path and the read path
 //! differ only in which session type sits behind the pump.
 //!
-//! Transport comes from [`crate::Backend`]:
-//!
-//! - **reactor** (default): every socket of every [`Grid`] lives on a
-//!   shared [`GridRuntime`] — a small epoll [`Reactor`]
-//!   (no reader threads; thread count is independent of how many grids
-//!   and connections exist). Sends enqueue onto bounded per-connection
-//!   buffers; `SendDone` completions arrive when the frame's last byte
-//!   leaves the socket; benefactor connections are dialed lazily on the
-//!   runtime's blocking lane with sends queued while the dial is in
-//!   flight. Many `Grid`s can share one runtime
-//!   ([`Grid::connect_on`]) — that is what lets hundreds of concurrent
-//!   client sessions run from a handful of threads.
-//! - **threaded** (legacy, `STDCHK_NET_BACKEND=threaded`): one reader
-//!   thread per connection, blocking sends.
+//! Every socket of every [`Grid`] lives on a shared [`GridRuntime`] — a
+//! small epoll [`Reactor`] (no reader threads; thread count is
+//! independent of how many grids and connections exist). Sends enqueue
+//! onto bounded per-connection buffers; `SendDone` completions arrive
+//! when the frame's last byte leaves the socket; benefactor connections
+//! are dialed lazily on the runtime's blocking lane with sends queued
+//! while the dial is in flight. Many `Grid`s can share one runtime
+//! ([`Grid::connect_on`]) — that is what lets hundreds of concurrent
+//! client sessions run from a handful of threads.
 //!
 //! All dials use connect timeouts and streams carry write timeouts
 //! ([`crate::conn::dial`]); the connect handshake additionally bounds its
@@ -42,7 +37,6 @@ use std::io::{self, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread;
 use std::time::Duration;
 
 use crossbeam::channel;
@@ -63,12 +57,11 @@ use stdchk_proto::msg::{DirEntry, FileAttr, Msg, Role, VersionInfo};
 use stdchk_proto::policy::RetentionPolicy;
 use stdchk_proto::ErrorCode;
 
-use crate::conn::{dial, read_frame_timeout, read_loop, Clock, Link, Sender, DIAL_TIMEOUT};
+use crate::conn::{dial, read_frame_timeout, Clock, Link, DIAL_TIMEOUT};
 use crate::driver::ACTION_BATCH;
 use crate::reactor::{
     CloseReason, ConnOpts, ConnToken, Reactor, ReactorApp, ReactorConfig, ReactorHandle,
 };
-use crate::Backend;
 
 /// Client-side errors.
 #[derive(Debug)]
@@ -141,8 +134,8 @@ trait SessionSlot: Send + Sync {
     /// connection it was sent on died), letting the session fail over.
     fn fail(self: Arc<Self>, grid: &Grid, req: RequestId);
 
-    /// Reports that the frame carrying `req` fully left this host
-    /// (reactor backend: ends the OAB transmit window).
+    /// Reports that the frame carrying `req` fully left this host (ends
+    /// the OAB transmit window).
     fn sent(self: Arc<Self>, grid: &Grid, req: RequestId);
 }
 
@@ -323,18 +316,9 @@ impl ReactorApp for GridApp {
     }
 }
 
-/// Transport state of one grid.
-enum ClientBackend {
-    /// Legacy blocking transport (reader thread per connection).
-    Threaded,
-    /// Shared epoll runtime.
-    Reactor {
-        rt: Arc<GridRuntime>,
-        mgr_token: ConnToken,
-    },
-}
-
 struct GridInner {
+    /// The shared epoll runtime every socket of this grid lives on.
+    rt: Arc<GridRuntime>,
     clock: Clock,
     mgr: Link,
     my_node: NodeId,
@@ -345,7 +329,6 @@ struct GridInner {
     addr_cache: OrderedMutex<HashMap<NodeId, String>>,
     timeout: Duration,
     stage_dir: PathBuf,
-    backend: ClientBackend,
     /// Per-path delta bases harvested from finished write sessions — the
     /// chunk signatures and placements feeding the *next* version of the
     /// same file. Purely an optimization cache: a stale or missing entry
@@ -355,26 +338,23 @@ struct GridInner {
 
 impl Drop for GridInner {
     fn drop(&mut self) {
-        if let ClientBackend::Reactor { rt, mgr_token } = &self.backend {
-            // Deregister this grid's connections from the shared runtime.
-            rt.handle().close(*mgr_token);
-            // Collect under the lock, shut down after releasing it: a
-            // close runs `GridApp::on_close` inline on this thread, which
-            // re-enters the grid's route/link locks (the PR 4 deadlock
-            // shape — only the mid-drop failing weak upgrade masked it
-            // here).
-            let links: Vec<Link> = self
-                .benefs
-                .lock()
-                .drain()
-                .filter_map(|(_, entry)| match entry {
-                    BenefEntry::Up(link) => Some(link),
-                    BenefEntry::Dialing(_) => None,
-                })
-                .collect();
-            for link in links {
-                link.shutdown();
-            }
+        // Deregister this grid's connections from the shared runtime.
+        self.mgr.shutdown();
+        // Collect under the lock, shut down after releasing it: a close
+        // runs `GridApp::on_close` inline on this thread, which re-enters
+        // the grid's route/link locks (the route-lock deadlock shape — only
+        // the mid-drop failing weak upgrade masked it here).
+        let links: Vec<Link> = self
+            .benefs
+            .lock()
+            .drain()
+            .filter_map(|(_, entry)| match entry {
+                BenefEntry::Up(link) => Some(link),
+                BenefEntry::Dialing(_) => None,
+            })
+            .collect();
+        for link in links {
+            link.shutdown();
         }
     }
 }
@@ -427,20 +407,16 @@ impl Default for WriteOptions {
 
 impl Grid {
     /// Connects to the manager at `addr`, failing fast (connect and
-    /// handshake-read timeouts) when the manager is dead. Transport comes
-    /// from [`Backend::from_env`]; the reactor backend creates a private
-    /// [`GridRuntime`] (use [`Grid::connect_on`] to share one across
-    /// grids).
+    /// handshake-read timeouts) when the manager is dead. Creates a
+    /// private [`GridRuntime`] (use [`Grid::connect_on`] to share one
+    /// across grids).
     ///
     /// # Errors
     ///
     /// Fails on dial/handshake problems; [`GridError::Timeout`] when the
     /// manager accepts but never answers the handshake.
     pub fn connect(addr: &str) -> Result<Grid, GridError> {
-        match Backend::from_env() {
-            Backend::Threaded => Grid::connect_threaded(addr),
-            Backend::Reactor => Grid::connect_on(&GridRuntime::new()?, addr),
-        }
+        Grid::connect_on(&GridRuntime::new()?, addr)
     }
 
     /// Connects through a shared [`GridRuntime`]: all sockets live on the
@@ -463,8 +439,9 @@ impl Grid {
         // attach the routing entry once the grid exists, then arm.
         let mgr_token = rt.handle().prepare(handshake, ConnOpts::dial_default())?;
         let inner = Arc::new(GridInner {
+            rt: Arc::clone(rt),
             clock: Clock::new(),
-            mgr: Link::Event {
+            mgr: Link {
                 handle: rt.handle().downgrade(),
                 token: mgr_token,
             },
@@ -480,10 +457,6 @@ impl Grid {
             ),
             timeout: Duration::from_secs(10),
             stage_dir: std::env::temp_dir(),
-            backend: ClientBackend::Reactor {
-                rt: Arc::clone(rt),
-                mgr_token,
-            },
             signatures: OrderedMutex::new(
                 ranks::CLIENT_SIGNATURES,
                 "client.signatures",
@@ -495,77 +468,6 @@ impl Grid {
             .lock()
             .insert(mgr_token, (Arc::downgrade(&inner), ConnKind::Mgr));
         rt.handle().arm(mgr_token);
-        Ok(Grid { inner })
-    }
-
-    /// Legacy thread-per-connection client.
-    fn connect_threaded(addr: &str) -> Result<Grid, GridError> {
-        // stdchk-allow(no-blocking-on-pump): threaded backend: connect runs on the caller's thread
-        let stream = dial(addr, DIAL_TIMEOUT)?;
-        let sender = Sender::new(stream.try_clone()?);
-        sender.send(&Msg::Hello {
-            role: Role::Client,
-            node: NodeId(0),
-        })?;
-        // The manager assigns our pool identity in its Hello reply; a
-        // silent peer times out instead of wedging the caller.
-        let mut reader = sender.reader()?;
-        let my_node = read_hello_reply(&mut reader)?;
-        let inner = Arc::new(GridInner {
-            clock: Clock::new(),
-            mgr: Link::Thread(sender),
-            my_node,
-            next_req: AtomicU64::new(1),
-            next_sid: AtomicU64::new(1),
-            routes: OrderedMutex::new(ranks::CLIENT_ROUTES, "client.routes", HashMap::new()),
-            benefs: OrderedMutex::new(ranks::CLIENT_BENEFS, "client.benefs", HashMap::new()),
-            addr_cache: OrderedMutex::new(
-                ranks::CLIENT_ADDR_CACHE,
-                "client.addr_cache",
-                HashMap::new(),
-            ),
-            timeout: Duration::from_secs(10),
-            stage_dir: std::env::temp_dir(),
-            backend: ClientBackend::Threaded,
-            signatures: OrderedMutex::new(
-                ranks::CLIENT_SIGNATURES,
-                "client.signatures",
-                HashMap::new(),
-            ),
-        });
-        // Manager reply pump. Session-routed messages are handed to a
-        // separate dispatcher thread: a session pump can issue a blocking
-        // manager RPC (benefactor address resolution on a cold cache), and
-        // running it inline here would park the only thread able to
-        // deliver that RPC's reply — a self-deadlock. RPC replies stay
-        // inline; they only unblock a channel.
-        let (dispatch_tx, dispatch_rx) = channel::unbounded::<(Arc<dyn SessionSlot>, Msg)>();
-        {
-            let inner2 = Arc::clone(&inner);
-            thread::Builder::new()
-                .name("stdchk-grid-dispatch".into())
-                .spawn(move || {
-                    let grid = Grid { inner: inner2 };
-                    // Exits when the reader drops the sender (manager EOF).
-                    while let Ok((slot, msg)) = dispatch_rx.recv() {
-                        slot.deliver(&grid, msg);
-                    }
-                })
-                .expect("spawn grid dispatcher");
-        }
-        {
-            let inner2 = Arc::clone(&inner);
-            thread::Builder::new()
-                .name("stdchk-grid-mgr".into())
-                .spawn(move || {
-                    let grid = Grid { inner: inner2 };
-                    // stdchk-allow(no-blocking-on-pump): dedicated manager-reader thread (stdchk-grid-mgr), not a pump worker
-                    read_loop(reader, move |msg| {
-                        deliver_reply_offloaded(&grid, msg, &dispatch_tx)
-                    });
-                })
-                .expect("spawn grid reader");
-        }
         Ok(Grid { inner })
     }
 
@@ -814,49 +716,12 @@ impl Grid {
 
     // -------------------------------------------------------- benefactor IO
 
-    /// Threaded backend: inline blocking dial + reader thread.
-    fn benefactor_conn(&self, node: NodeId) -> Result<Link, GridError> {
-        if let Some(BenefEntry::Up(l)) = self.inner.benefs.lock().get(&node) {
-            return Ok(l.clone());
-        }
-        let addr = self.resolve(node)?;
-        // stdchk-allow(no-blocking-on-pump): threaded backend: inline dial on the caller's session thread is that backend's design
-        let stream = dial(&addr, DIAL_TIMEOUT)?;
-        let sender = Sender::new(stream.try_clone()?);
-        sender.send(&Msg::Hello {
-            role: Role::Client,
-            node: self.inner.my_node,
-        })?;
-        let reader = sender.reader()?;
-        let inner2 = Arc::clone(&self.inner);
-        thread::Builder::new()
-            .name("stdchk-grid-benef".into())
-            .spawn(move || {
-                let grid = Grid { inner: inner2 };
-                // stdchk-allow(no-blocking-on-pump): dedicated benefactor-reader thread (stdchk-grid-benef), not a pump worker
-                read_loop(reader, |msg| deliver_reply(&grid, msg));
-                // EOF or error: the benefactor is gone. Fail everything in
-                // flight on this connection so sessions retry elsewhere.
-                on_benefactor_conn_down(&grid, node);
-            })
-            .expect("spawn benef reader");
-        let link = Link::Thread(sender);
-        self.inner
-            .benefs
-            .lock()
-            .insert(node, BenefEntry::Up(link.clone()));
-        Ok(link)
-    }
-
-    /// Reactor backend: sends to `node` without ever blocking the calling
+    /// Sends to benefactor `node` without ever blocking the calling
     /// thread. An unestablished connection queues the message behind a
     /// blocking-lane dial job. Returns `Err` only for immediately-failed
     /// sends (the caller reports `SendFailed`); queued/sent messages
     /// complete via `on_sent` / connection-close handling.
-    fn send_event(&self, node: NodeId, msg: Msg, req: Option<RequestId>) -> Result<(), ()> {
-        let ClientBackend::Reactor { rt, .. } = &self.inner.backend else {
-            unreachable!("send_event is reactor-only");
-        };
+    fn send_to_benefactor(&self, node: NodeId, msg: Msg, req: Option<RequestId>) -> Result<(), ()> {
         let track = req.map(|r| r.0);
         let mut benefs = self.inner.benefs.lock();
         match benefs.get_mut(&node) {
@@ -882,7 +747,7 @@ impl Grid {
                 benefs.insert(node, BenefEntry::Dialing(vec![msg]));
                 drop(benefs);
                 let weak = Arc::downgrade(&self.inner);
-                rt.handle().spawn_blocking(move |_| {
+                self.inner.rt.handle().spawn_blocking(move |_| {
                     if let Some(inner) = weak.upgrade() {
                         dial_benefactor(&Grid { inner }, node);
                     }
@@ -964,28 +829,6 @@ fn deliver_reply(grid: &Grid, msg: Msg) {
     }
 }
 
-/// [`deliver_reply`] for the threaded manager reader: session deliveries
-/// go to the dispatcher thread instead of running inline, because the
-/// resulting pump may block on a manager RPC whose reply only the reader
-/// can deliver.
-fn deliver_reply_offloaded(
-    grid: &Grid,
-    msg: Msg,
-    dispatch: &channel::Sender<(Arc<dyn SessionSlot>, Msg)>,
-) {
-    let Some(req) = msg.request_id() else { return };
-    let route = grid.inner.routes.lock().remove(&req);
-    match route {
-        Some(Route::Rpc(tx)) => {
-            let _ = tx.send(msg);
-        }
-        Some(Route::Session { slot, .. }) => {
-            let _ = dispatch.send((slot, msg));
-        }
-        None => {}
-    }
-}
-
 /// A benefactor connection died: drop it from the registries and fail every
 /// session request that was in flight on it, so reads and writes fail over
 /// to other replicas promptly instead of waiting out their deadlines.
@@ -1012,9 +855,9 @@ fn on_benefactor_conn_down(grid: &Grid, node: NodeId) {
     }
 }
 
-/// The manager connection died (reactor backend): fail every in-flight
-/// manager request. RPC waiters see their channel close (surfacing as a
-/// timeout-class error immediately); sessions get `SendFailed`.
+/// The manager connection died: fail every in-flight manager request.
+/// RPC waiters see their channel close (surfacing as a timeout-class
+/// error immediately); sessions get `SendFailed`.
 fn on_manager_conn_down(grid: &Grid) {
     let stranded: Vec<(RequestId, Route)> = {
         let mut routes = grid.inner.routes.lock();
@@ -1039,9 +882,9 @@ fn on_manager_conn_down(grid: &Grid) {
     }
 }
 
-/// A tracked frame fully left this host (reactor backend): deliver the
-/// `SendDone` that ends the session's transmit window. The route stays —
-/// the reply is still outstanding.
+/// A tracked frame fully left this host: deliver the `SendDone` that
+/// ends the session's transmit window. The route stays — the reply is
+/// still outstanding.
 fn on_frame_sent(grid: &Grid, req: RequestId) {
     let slot = {
         let routes = grid.inner.routes.lock();
@@ -1058,15 +901,13 @@ fn on_frame_sent(grid: &Grid, req: RequestId) {
 /// Blocking-lane job: resolve + dial + handshake one benefactor
 /// connection, then flush the sends that queued while dialing.
 fn dial_benefactor(grid: &Grid, node: NodeId) {
-    let ClientBackend::Reactor { rt, .. } = &grid.inner.backend else {
-        return;
-    };
+    let rt = &grid.inner.rt;
     let established: Result<Link, GridError> = (|| {
         let addr = grid.resolve(node)?;
         // stdchk-allow(no-blocking-on-pump): blocking-lane job: benefactor dials run off-pump with sends queued meanwhile
         let stream = dial(&addr, DIAL_TIMEOUT)?;
         let token = rt.register(&Arc::downgrade(&grid.inner), ConnKind::Benef(node), stream)?;
-        let link = Link::Event {
+        let link = Link {
             handle: rt.handle().downgrade(),
             token,
         };
@@ -1161,46 +1002,22 @@ fn pump_session<N: Node + Send + 'static>(grid: &Grid, shared: &Arc<SessionShare
                             },
                         );
                     }
-                    match &grid.inner.backend {
-                        ClientBackend::Threaded => {
-                            // Blocking transport: the send completing IS
-                            // the frame leaving this host.
-                            let ok = if to == MANAGER_NODE {
-                                grid.inner.mgr.send(&msg).is_ok()
-                            } else {
-                                grid.benefactor_conn(to)
-                                    .and_then(|c| c.send(&msg).map_err(GridError::from))
-                                    .is_ok()
-                            };
-                            match (req, ok) {
-                                (Some(req), true) => Some(Completion::SendDone { req }),
-                                (Some(req), false) => {
-                                    grid.inner.routes.lock().remove(&req);
-                                    Some(Completion::SendFailed { req })
-                                }
-                                (None, _) => None,
-                            }
+                    // `SendDone` arrives via `on_sent` when the frame's
+                    // last byte is written; dial-in-flight sends queue.
+                    let ok = if to == MANAGER_NODE {
+                        match req {
+                            Some(r) => grid.inner.mgr.send_tracked(&msg, r.0).is_ok(),
+                            None => grid.inner.mgr.send(&msg).is_ok(),
                         }
-                        ClientBackend::Reactor { .. } => {
-                            // Nonblocking transport: `SendDone` arrives via
-                            // `on_sent` when the frame's last byte is
-                            // written; dial-in-flight sends queue.
-                            let ok = if to == MANAGER_NODE {
-                                match req {
-                                    Some(r) => grid.inner.mgr.send_tracked(&msg, r.0).is_ok(),
-                                    None => grid.inner.mgr.send(&msg).is_ok(),
-                                }
-                            } else {
-                                grid.send_event(to, msg, req).is_ok()
-                            };
-                            match (req, ok) {
-                                (Some(req), false) => {
-                                    grid.inner.routes.lock().remove(&req);
-                                    Some(Completion::SendFailed { req })
-                                }
-                                _ => None,
-                            }
+                    } else {
+                        grid.send_to_benefactor(to, msg, req).is_ok()
+                    };
+                    match (req, ok) {
+                        (Some(req), false) => {
+                            grid.inner.routes.lock().remove(&req);
+                            Some(Completion::SendFailed { req })
                         }
+                        _ => None,
                     }
                 }
                 Action::StageAppend {

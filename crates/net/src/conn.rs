@@ -1,17 +1,15 @@
-//! Framed TCP connection helpers shared by servers and clients.
+//! Connection helpers shared by servers and clients: bounded dials and
+//! handshake reads, the protocol clock, and reactor [`Link`]s.
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stdchk_util::ordlock::OrderedMutex;
-
-use crate::ranks;
-
-use stdchk_proto::frame::{read_frame, write_frame};
+use stdchk_proto::frame::read_frame;
 use stdchk_proto::msg::Msg;
 use stdchk_util::Time;
+
+use crate::reactor::{ConnToken, ReactorHandle, WeakHandle};
 
 /// Default connect/write timeout for outbound connections. A dead manager
 /// or benefactor fails a dial fast instead of hanging the calling thread in
@@ -92,152 +90,60 @@ impl Clock {
     }
 }
 
-/// A shareable write half: many threads may send frames on one socket.
-#[derive(Clone)]
-pub struct Sender {
-    stream: Arc<OrderedMutex<TcpStream>>,
-}
-
-impl std::fmt::Debug for Sender {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sender").finish_non_exhaustive()
-    }
-}
-
-impl Sender {
-    /// Wraps a connected stream. The read half should be obtained with
-    /// [`Sender::reader`] before wrapping.
-    pub fn new(stream: TcpStream) -> Sender {
-        Sender {
-            stream: Arc::new(OrderedMutex::new(ranks::CONN_STREAM, "conn.stream", stream)),
-        }
-    }
-
-    /// A cloned handle for the read side.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `try_clone` failures.
-    pub fn reader(&self) -> io::Result<TcpStream> {
-        self.stream.lock().try_clone()
-    }
-
-    /// Sends one frame. Serialized across threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write failures.
-    pub fn send(&self, msg: &Msg) -> io::Result<()> {
-        let mut s = self.stream.lock();
-        write_frame(&mut *s, msg)
-    }
-
-    /// True when both handles wrap the same underlying socket.
-    pub fn same_channel(&self, other: &Sender) -> bool {
-        Arc::ptr_eq(&self.stream, &other.stream)
-    }
-
-    /// Shuts the socket down, unblocking any reader.
-    pub fn shutdown(&self) {
-        let s = self.stream.lock();
-        let _ = s.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-/// Reads frames until EOF/error, invoking `on_msg` per message.
-pub fn read_loop(mut stream: TcpStream, mut on_msg: impl FnMut(Msg)) {
-    loop {
-        match read_frame(&mut stream) {
-            Ok(Some(msg)) => on_msg(msg),
-            Ok(None) => return,
-            Err(_) => return,
-        }
-    }
-}
-
-/// One outbound connection, over either transport backend: a shared
-/// blocking write half (thread-per-connection) or a reactor connection
-/// token. Registries hold `Link`s so the servers' effects code is
-/// backend-agnostic.
+/// One reactor connection as a registry entry: the owning reactor plus
+/// the connection token. Servers and the client keep their routing
+/// tables as `Link`s so effects code can send without knowing which
+/// worker owns the socket.
+///
+/// Holds a [`WeakHandle`]: registries live inside application state the
+/// reactor owns, so a strong handle here would cycle. Sends on a
+/// torn-down reactor simply fail.
 #[derive(Clone, Debug)]
-pub enum Link {
-    /// Legacy blocking transport.
-    Thread(Sender),
-    /// Reactor-registered connection. Holds a [`WeakHandle`](crate::reactor::WeakHandle): registries
-    /// live inside application state the reactor owns, so a strong handle
-    /// here would cycle. Sends on a torn-down reactor simply fail.
-    Event {
-        /// The owning reactor.
-        handle: crate::reactor::WeakHandle,
-        /// The connection.
-        token: crate::reactor::ConnToken,
-    },
+pub struct Link {
+    /// The owning reactor.
+    pub handle: WeakHandle,
+    /// The connection.
+    pub token: ConnToken,
 }
 
 impl Link {
-    /// Sends one frame.
-    ///
-    /// For [`Link::Thread`] this blocks until the socket accepts the
-    /// bytes; for [`Link::Event`] it means *queued or written* (bounded —
-    /// a slow peer's link errors out and is closed).
+    /// Sends one frame: *queued or written* (bounded — a slow peer's
+    /// link errors out and is closed).
     ///
     /// # Errors
     ///
     /// Propagates socket/queueing failures.
     pub fn send(&self, msg: &Msg) -> io::Result<()> {
-        match self {
-            Link::Thread(s) => s.send(msg),
-            Link::Event { handle, token } => match handle.upgrade() {
-                Some(h) => h.send(*token, msg),
-                None => Err(io::Error::other("reactor is gone")),
-            },
-        }
+        self.reactor()?.send(self.token, msg)
     }
 
     /// Sends one frame, requesting an `on_sent` completion with `track`
-    /// once the last byte is written ([`Link::Event`] only; the blocking
-    /// transport completes synchronously so callers synthesize it).
+    /// once the last byte is written.
     ///
     /// # Errors
     ///
     /// As [`Link::send`].
     pub fn send_tracked(&self, msg: &Msg, track: u64) -> io::Result<()> {
-        match self {
-            Link::Thread(s) => s.send(msg),
-            Link::Event { handle, token } => match handle.upgrade() {
-                Some(h) => h.send_tracked(*token, msg, track),
-                None => Err(io::Error::other("reactor is gone")),
-            },
-        }
-    }
-
-    /// True when both handles address the same underlying connection.
-    pub fn same_conn(&self, other: &Link) -> bool {
-        match (self, other) {
-            (Link::Thread(a), Link::Thread(b)) => a.same_channel(b),
-            (Link::Event { token: a, .. }, Link::Event { token: b, .. }) => a == b,
-            _ => false,
-        }
+        self.reactor()?.send_tracked(self.token, msg, track)
     }
 
     /// Closes the connection.
     pub fn shutdown(&self) {
-        match self {
-            Link::Thread(s) => s.shutdown(),
-            Link::Event { handle, token } => {
-                if let Some(h) = handle.upgrade() {
-                    h.close(*token);
-                }
-            }
+        if let Some(h) = self.handle.upgrade() {
+            h.close(self.token);
         }
+    }
+
+    fn reactor(&self) -> io::Result<ReactorHandle> {
+        self.handle
+            .upgrade()
+            .ok_or_else(|| io::Error::other("reactor is gone"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
-    use stdchk_proto::ids::RequestId;
 
     #[test]
     fn clock_is_monotonic() {
@@ -245,24 +151,5 @@ mod tests {
         let a = c.now();
         let b = c.now();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn sender_roundtrips_over_loopback() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let t = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut got = Vec::new();
-            read_loop(stream, |m| got.push(m));
-            got
-        });
-        let conn = TcpStream::connect(addr).unwrap();
-        let sender = Sender::new(conn);
-        sender.send(&Msg::Ack { req: RequestId(1) }).unwrap();
-        sender.send(&Msg::Ack { req: RequestId(2) }).unwrap();
-        sender.shutdown();
-        let got = t.join().unwrap();
-        assert_eq!(got.len(), 2);
     }
 }

@@ -1,14 +1,13 @@
-//! The generic event loop driving any sans-IO [`Node`] over real threads.
+//! The generic host driving any sans-IO [`Node`] from reactor callbacks.
 //!
 //! `stdchk-net` used to wire each role (manager, benefactor) with its own
 //! dispatch, timer thread, and completion plumbing. [`NodeHost`] replaces
-//! all of that with one loop shared by every role:
+//! all of that with one host shared by every role:
 //!
-//! - reader threads feed inbound messages through [`NodeHost::deliver`];
-//! - [`run_node`] is the event loop: it fires [`Node::handle_timeout`] when
-//!   the deadline from [`Node::poll_timeout`] arrives and sleeps exactly
-//!   until the next one (woken early whenever an input may have re-armed a
-//!   timer);
+//! - reactor workers feed inbound messages through [`NodeHost::deliver`];
+//! - worker 0 folds [`NodeHost::next_deadline`] (the node's
+//!   [`Node::poll_timeout`]) into its `epoll_wait` timeout and calls
+//!   [`NodeHost::tick`] when it arrives;
 //! - after every input the host drains [`Node::poll_action`] **in batches**
 //!   — actions are popped under the lock in groups, then executed without
 //!   holding the node, so socket and disk I/O never serialize protocol
@@ -19,7 +18,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use stdchk_util::ordlock::{Condvar, OrderedMutex};
 
@@ -34,10 +32,6 @@ use crate::conn::Clock;
 /// Actions popped per lock acquisition while draining (shared by
 /// [`NodeHost::pump`] and the client's session pump).
 pub const ACTION_BATCH: usize = 32;
-
-/// Longest uninterrupted timer sleep (a safety net against missed wakeups;
-/// the loop normally sleeps exactly to [`Node::poll_timeout`]).
-const MAX_TIMER_SLEEP: Duration = Duration::from_millis(500);
 
 /// Role-specific execution of unified actions. Implementations are cheap
 /// handles (connection registries, blob stores) shared across threads.
@@ -79,14 +73,12 @@ struct OrderState {
     turn: u64,
 }
 
-/// A sans-IO node hosted behind a lock, with a shared clock, an effects
-/// executor, and a timer the event loop sleeps on.
+/// A sans-IO node hosted behind a lock, with a shared clock and an
+/// effects executor.
 pub struct NodeHost<N, E> {
     node: OrderedMutex<N>,
     clock: Clock,
     effects: E,
-    timer_gate: OrderedMutex<()>,
-    timer_cv: Condvar,
     shutdown: AtomicBool,
     /// When set, drained batches execute strictly in pop order, one at a
     /// time (see [`NodeHost::new_ordered`]).
@@ -136,8 +128,6 @@ impl<N: Node + Send + 'static, E: Effects> NodeHost<N, E> {
             node: OrderedMutex::new(ranks::NODE, "host.node", node),
             clock,
             effects,
-            timer_gate: OrderedMutex::new(ranks::NODE_TIMER, "host.timer_gate", ()),
-            timer_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             ordered,
             order: OrderedMutex::new(ranks::NODE_ORDER, "host.order", OrderState::default()),
@@ -183,8 +173,6 @@ impl<N: Node + Send + 'static, E: Effects> NodeHost<N, E> {
         let now = self.clock.now();
         self.node.lock().handle(from, msg, now);
         self.pump();
-        // Handling a message may have armed an earlier timer.
-        self.timer_cv.notify_all();
     }
 
     /// Feeds one completion (for asynchronous effects), then drains.
@@ -194,7 +182,10 @@ impl<N: Node + Send + 'static, E: Effects> NodeHost<N, E> {
 
     /// Feeds a batch of completions under one node-lock acquisition,
     /// then drains once — how the disk I/O lane reports a whole store
-    /// batch's `Stored` acks without N lock round-trips.
+    /// batch's `Stored` acks without N lock round-trips. Callers outside
+    /// the reactor follow up with
+    /// [`ReactorHandle::notify_timer`](crate::ReactorHandle::notify_timer)
+    /// so a re-armed earlier deadline is seen promptly.
     pub fn complete_all(&self, completions: impl IntoIterator<Item = Completion>) {
         let now = self.clock.now();
         {
@@ -204,7 +195,6 @@ impl<N: Node + Send + 'static, E: Effects> NodeHost<N, E> {
             }
         }
         self.pump();
-        self.timer_cv.notify_all();
     }
 
     /// Drains `poll_action` in batches: pop up to [`ACTION_BATCH`] actions
@@ -264,63 +254,15 @@ impl<N: Node + Send + 'static, E: Effects> NodeHost<N, E> {
         }
     }
 
-    /// Stops [`run_node`] loops on this host.
+    /// Marks the host as shutting down: background helpers (the durable
+    /// manager's snapshotter, the benefactor's manager redial) stop.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        self.timer_cv.notify_all();
     }
 
     /// True once [`NodeHost::shutdown`] ran.
     pub fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Relaxed)
-    }
-}
-
-/// The generic event loop: fires due timers, drains actions, and sleeps
-/// until the node's next deadline. Blocks until [`NodeHost::shutdown`].
-///
-/// One `run_node` thread per host; reader threads deliver messages
-/// concurrently through [`NodeHost::deliver`].
-pub fn run_node<N: Node + Send + 'static, E: Effects>(host: &NodeHost<N, E>) {
-    while !host.is_shutdown() {
-        let now = host.clock.now();
-        let next = {
-            let mut node = host.node.lock();
-            if node.poll_timeout().is_some_and(|t| t <= now) {
-                node.handle_timeout(now);
-            }
-            node.poll_timeout()
-        };
-        host.pump();
-        let now = host.clock.now();
-        let sleep = match next {
-            Some(t) if t <= now => Duration::from_millis(1), // re-armed and already due
-            Some(t) => Duration::from_nanos(t.as_nanos() - now.as_nanos()),
-            None => MAX_TIMER_SLEEP,
-        }
-        .clamp(Duration::from_millis(1), MAX_TIMER_SLEEP);
-        let mut gate = host.timer_gate.lock();
-        if host.is_shutdown() {
-            return;
-        }
-        host.timer_cv.wait_for(&mut gate, sleep);
-    }
-}
-
-/// Spawns the [`run_node`] event loop on a named thread.
-pub fn spawn_node_loop<N: Node + Send + 'static, E: Effects>(
-    name: &str,
-    host: Arc<NodeHost<N, E>>,
-) {
-    if let Err(e) = std::thread::Builder::new()
-        .name(name.to_string())
-        .spawn(move || run_node(&host))
-    {
-        // Fail-stop, not unwind: without its loop thread the node never
-        // pumps another action, so timers and retries die silently while
-        // the sockets stay open — a half-alive server.
-        eprintln!("stdchk node loop {name}: fatal: cannot spawn thread: {e}");
-        std::process::abort();
     }
 }
 
@@ -390,22 +332,22 @@ mod tests {
     }
 
     #[test]
-    fn run_node_fires_timers_until_shutdown() {
+    fn tick_fires_only_due_timers() {
         let sink = Arc::new(Captured::default());
         let host = NodeHost::new(
             Echo {
                 q: ActionQueue::new(),
                 ticks: 0,
-                next_deadline: Some(Time::ZERO),
+                next_deadline: Some(Time::ZERO + stdchk_util::Dur::from_millis(10)),
             },
             Clock::new(),
             Arc::clone(&sink),
         );
-        let h2 = Arc::clone(&host);
-        let t = std::thread::spawn(move || run_node(&h2));
-        std::thread::sleep(Duration::from_millis(40));
-        host.shutdown();
-        t.join().unwrap();
-        assert!(host.with_node(|n| n.ticks) >= 2, "timer loop must re-fire");
+        host.tick(Time::ZERO);
+        assert_eq!(host.with_node(|n| n.ticks), 0, "deadline not yet due");
+        let due = host.next_deadline().expect("armed");
+        host.tick(due);
+        assert_eq!(host.with_node(|n| n.ticks), 1);
+        assert!(host.next_deadline().expect("re-armed") > due);
     }
 }

@@ -1,12 +1,12 @@
 //! The dedicated disk I/O lane: blocking durable waits off the reactor.
 //!
-//! Since the epoll reactor replaced thread-per-connection I/O, every
-//! durable wait — a [`SegmentStore`](crate::store::SegmentStore)
-//! group-commit, a [`MetaLog`](crate::MetaLog) append — used to execute
-//! on the reactor worker that delivered the triggering message, stalling
+//! A durable wait — a [`SegmentStore`](crate::store::SegmentStore)
+//! group-commit, a [`MetaLog`](crate::MetaLog) append — executed on the
+//! reactor worker that delivered the triggering message would stall
 //! every other socket that worker owns for the fsync's duration. This
-//! module is the fix: a small pool of threads that are *allowed* to
-//! block on disk, mirroring the reactor's blocking dial lane.
+//! module keeps them off the workers: a small pool of threads that are
+//! *allowed* to block on disk, mirroring the reactor's blocking dial
+//! lane. A durable manager and every benefactor own one.
 //!
 //! The split that makes this safe is **submit vs wait**:
 //!
@@ -27,10 +27,6 @@
 //! workers themselves are exempt from the bound (a completion that pumps
 //! the node may submit follow-up work; blocking *them* on a full queue
 //! could deadlock the lane against itself).
-//!
-//! `STDCHK_IO_LANE=off` (see [`crate::ServerOpts`]) disables the lane:
-//! effects then execute durable waits inline, the pre-lane behavior kept
-//! as the benchmark baseline.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -1,4 +1,4 @@
-//! Real-network deployment of stdchk: threads + TCP + on-disk chunk store.
+//! Real-network deployment of stdchk: an epoll reactor + TCP + on-disk chunk store.
 //!
 //! This crate turns the sans-IO state machines of `stdchk-core` into a
 //! runnable storage pool:
@@ -28,17 +28,19 @@
 //! executor), and the client pumps its sessions through the same
 //! `poll_action` loop.
 //!
-//! Transport is the event-driven [`reactor`] by default: an epoll worker
-//! pool owns every nonblocking socket, frames are decoded incrementally
+//! Transport is the event-driven [`reactor`]: an epoll worker pool owns
+//! every nonblocking socket, frames are decoded incrementally
 //! ([`stdchk_proto::frame::FrameDecoder`], chunk payloads sliced
-//! zero-copy), outbound buffers are bounded (slow/dead peers are
-//! disconnected, never block the pump), idle connections are reaped, and
-//! protocol timers fold into `epoll_wait` — thread count is O(workers),
-//! not O(connections), so the manager absorbs checkpoint bursts from
-//! whole pools. The legacy thread-per-connection transport remains
-//! selectable ([`Backend::Threaded`], `STDCHK_NET_BACKEND=threaded`) as
-//! the benchmark baseline. Outbound dials use connect/write timeouts and
-//! handshakes bound their reads ([`conn::dial`]) so dead peers fail fast.
+//! zero-copy), outbound chunk payloads leave by `writev` of shared
+//! buffers or by `sendfile` from sealed segments, outbound buffers are
+//! bounded (slow/dead peers are disconnected, never block the pump),
+//! idle connections are reaped, and protocol timers fold into
+//! `epoll_wait` — thread count is O(workers), not O(connections), so the
+//! manager absorbs checkpoint bursts from whole pools. Durable waits
+//! (segment group commits, WAL flushes, snapshot installs) ride a
+//! dedicated disk [`IoLane`], never a reactor worker. Outbound dials use
+//! connect/write timeouts and handshakes bound their reads
+//! ([`conn::dial`]) so dead peers fail fast.
 //!
 //! # Example (in-process pool)
 //!
@@ -76,11 +78,10 @@ pub mod metalog;
 pub mod ranks;
 pub mod reactor;
 pub mod store;
-pub mod uring;
 
 pub use benefactor_server::{BenefactorNetConfig, BenefactorServer};
 pub use client::{Grid, GridError, GridRuntime, ReadHandle, WriteHandle, WriteOptions};
-pub use driver::{run_node, Effects, NodeHost};
+pub use driver::{Effects, NodeHost};
 pub use iolane::{IoLane, IoLaneConfig};
 pub use log::SyncDelay;
 pub use manager_server::ManagerServer;
@@ -90,32 +91,11 @@ pub use reactor::{
     TransportStats, WeakHandle,
 };
 
-/// Which transport drives the servers and the client.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// Readiness-based epoll reactor ([`reactor`]): worker-bounded
-    /// threads, nonblocking sockets, incremental framing. The default.
-    Reactor,
-    /// Legacy thread-per-connection transport (blocking reads, 2+ OS
-    /// threads per connection). Kept as the benchmark baseline and as an
-    /// escape hatch (`STDCHK_NET_BACKEND=threaded`).
-    Threaded,
-}
-
-impl Backend {
-    /// Reads `STDCHK_NET_BACKEND` (`reactor` | `threaded`), defaulting to
-    /// [`Backend::Reactor`].
-    pub fn from_env() -> Backend {
-        match std::env::var("STDCHK_NET_BACKEND").as_deref() {
-            Ok("threaded") | Ok("thread") => Backend::Threaded,
-            _ => Backend::Reactor,
-        }
-    }
-}
-
 /// Reads `STDCHK_DEDUP`, defaulting to on. When off, [`client::Grid`]
 /// writes skip the have/want negotiation and delta encoding entirely and
-/// ship every chunk in full — the A/B baseline for the dedup benchmarks.
+/// ship every chunk in full — for pools whose successive checkpoints
+/// share little, where negotiation only costs a round-trip and signature
+/// CPU. The dedup benchmark uses it as its A/B baseline.
 pub fn dedup_enabled() -> bool {
     !matches!(
         std::env::var("STDCHK_DEDUP").as_deref(),
@@ -123,55 +103,21 @@ pub fn dedup_enabled() -> bool {
     )
 }
 
-/// Reads `STDCHK_ZEROCOPY`, defaulting to on. When off, the reactor
-/// transport flattens every outbound frame into a contiguous buffer
-/// (copying chunk payloads) and benefactors serve `GetChunk` through the
-/// pread-and-copy path instead of `sendfile` — the A/B baseline for the
-/// zero-copy benchmarks.
-pub fn zerocopy_enabled() -> bool {
-    !matches!(
-        std::env::var("STDCHK_ZEROCOPY").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    )
-}
-
 /// Transport tuning for [`ManagerServer`] / [`BenefactorServer`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServerOpts {
-    /// Which transport to run.
-    pub backend: Backend,
-    /// Reactor worker threads (ignored by [`Backend::Threaded`]).
+    /// Reactor worker threads.
     pub workers: usize,
-    /// Reap inbound connections silent for this long (reactor only; the
-    /// client side sends transport keepalives well inside this bound).
+    /// Reap inbound connections silent for this long (the client side
+    /// sends transport keepalives well inside this bound).
     pub idle_timeout: Option<std::time::Duration>,
-    /// Run blocking durable waits — [`store::SegmentStore`] group
-    /// commits, [`MetaLog`] flush waits, snapshot installs — on a
-    /// dedicated disk [`IoLane`] instead of the pump thread that drained
-    /// the triggering batch, so an fsync tail never stalls a reactor
-    /// worker's other sockets. Defaults from `STDCHK_IO_LANE`
-    /// (`off`/`0`/`false` disables — the pre-lane inline behavior, kept
-    /// as the benchmark baseline).
-    pub io_lane: bool,
-}
-
-impl ServerOpts {
-    /// Reads `STDCHK_IO_LANE`, defaulting to on.
-    pub fn io_lane_from_env() -> bool {
-        !matches!(
-            std::env::var("STDCHK_IO_LANE").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        )
-    }
 }
 
 impl Default for ServerOpts {
     fn default() -> ServerOpts {
         ServerOpts {
-            backend: Backend::from_env(),
             workers: 2,
             idle_timeout: Some(std::time::Duration::from_secs(60)),
-            io_lane: ServerOpts::io_lane_from_env(),
         }
     }
 }

@@ -437,7 +437,15 @@ impl GroupCommit {
     /// Stops the flusher loop and releases every waiter (committers
     /// still short of their target fail instead of hanging).
     pub fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        // Flip the flag under the commit lock, like `wait_durable`'s
+        // nudge: the flusher checks the flag and parks atomically under
+        // this lock, so the notify cannot fall into its check→sleep
+        // window and leave the flusher (and the join in `Drop`) parked
+        // forever.
+        {
+            let _c = self.commit.lock();
+            self.shutdown.store(true, Ordering::Relaxed);
+        }
         self.work_cv.notify_all();
         self.done_cv.notify_all();
     }
@@ -477,10 +485,10 @@ impl GroupCommit {
             let res = self.faults.apply().and_then(|()| {
                 for sealed in &seals {
                     self.syncs.fetch_add(1, Ordering::Relaxed);
-                    crate::uring::sync_data(sealed)?;
+                    sealed.sync_data()?;
                 }
                 self.syncs.fetch_add(1, Ordering::Relaxed);
-                crate::uring::sync_data(&file)
+                file.sync_data()
             });
             let mut c = self.commit.lock();
             match res {

@@ -1,22 +1,16 @@
 //! The metadata manager as a TCP server.
 //!
 //! The sans-IO [`Manager`] is driven entirely through the unified
-//! [`Node`](stdchk_core::Node) API. Two transports can host it
-//! ([`crate::Backend`]):
+//! [`Node`](stdchk_core::Node) API. The epoll [`Reactor`] owns every
+//! socket with a fixed worker pool — workers decode frames incrementally
+//! and `deliver` them, manager maintenance fires from `poll_timeout`
+//! folded into `epoll_wait`, and idle connections are reaped. Threads
+//! stay O(workers) no matter how many clients and benefactors connect.
 //!
-//! - **reactor** (default): the epoll [`Reactor`] owns
-//!   every socket with a fixed worker pool — workers decode frames
-//!   incrementally and `deliver` them, manager maintenance fires from
-//!   `poll_timeout` folded into `epoll_wait`, and idle connections are
-//!   reaped. Threads stay O(workers) no matter how many clients and
-//!   benefactors connect.
-//! - **threaded** (legacy, `STDCHK_NET_BACKEND=threaded`): reader thread
-//!   per connection + the generic [`run_node`](crate::run_node) timer
-//!   loop. Kept as the benchmark baseline.
-//!
-//! Either way the only manager-specific code is [`MgrEffects`] — a
-//! connection registry that knows how to transmit, plus (for durable
-//! managers) the metadata write-ahead log.
+//! The only manager-specific code is [`MgrEffects`] — a connection
+//! registry that knows how to transmit, plus (for durable managers) the
+//! metadata write-ahead log and the disk I/O lane its group-commit waits
+//! ride.
 //!
 //! [`ManagerServer::spawn`] runs the paper's volatile manager: a restart
 //! comes back empty and relies on benefactor re-offers.
@@ -29,7 +23,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -47,13 +41,13 @@ use stdchk_proto::meta::MetaRecord;
 use stdchk_proto::msg::{DedupSummary, Msg, Role};
 use stdchk_util::Time;
 
-use crate::conn::{read_loop, Clock, Link, Sender};
-use crate::driver::{spawn_node_loop, Effects, NodeHost};
+use crate::conn::{Clock, Link};
+use crate::driver::{Effects, NodeHost};
 use crate::iolane::IoLane;
 use crate::log::SyncDelay;
 use crate::metalog::{MetaLog, MetaLogConfig};
 use crate::reactor::{CloseReason, ConnOpts, ConnToken, Reactor, ReactorApp, ReactorConfig};
-use crate::{Backend, ServerOpts};
+use crate::ServerOpts;
 
 /// Base of the per-connection client node-id namespace (far above any
 /// benefactor id the manager will ever assign).
@@ -72,7 +66,7 @@ struct OutboxEntry {
     ready: bool,
 }
 
-/// Batch-ordered reply release for the I/O-lane path.
+/// Batch-ordered reply release for durable managers.
 ///
 /// The ordered `NodeHost` executes drained batches strictly in queue
 /// order, so entries are *enqueued* in ticket order; the outbox then
@@ -99,10 +93,9 @@ pub struct MgrEffects {
     conns: OrderedMutex<HashMap<NodeId, Link>>,
     next_client: AtomicU64,
     next_helper: AtomicU64,
-    metalog: Option<Arc<MetaLog>>,
-    /// Durable waits ride here instead of the executing pump (None:
-    /// inline execution, the `STDCHK_IO_LANE=off` baseline).
-    lane: Option<Arc<IoLane>>,
+    /// The WAL and the I/O lane its durable waits ride (durable
+    /// managers only).
+    wal: Option<(Arc<MetaLog>, Arc<IoLane>)>,
     outbox: OrderedMutex<Outbox>,
 }
 
@@ -113,25 +106,25 @@ impl MgrEffects {
 
     /// Unbinds `node` only while it still points at `conn`: a reconnect may
     /// already have rebound the id to a fresh connection.
-    fn unbind_if(&self, node: NodeId, conn: &Link) {
+    fn unbind_if(&self, node: NodeId, conn: ConnToken) {
         let mut conns = self.conns.lock();
-        if conns.get(&node).is_some_and(|c| c.same_conn(conn)) {
+        if conns.get(&node).is_some_and(|c| c.token == conn) {
             conns.remove(&node);
         }
     }
 }
 
 impl MgrEffects {
-    /// The I/O-lane path for one drained batch: append the records
-    /// inline (buffered writes — fixing WAL order at submission), park
-    /// the replies on the batch's outbox slot, and hand only the
+    /// A durable manager's path for one drained batch: append the
+    /// records inline (buffered writes — fixing WAL order at submission),
+    /// park the replies on the batch's outbox slot, and hand only the
     /// durability *wait* to the lane, whose completion releases the
     /// slot. Batches without records still take a slot so their sends
     /// cannot overtake replies parked behind an earlier batch's fsync.
     ///
     /// Called only from the ordered host's serialized batch execution,
     /// which is what makes `next_seq` assignment the ticket order.
-    fn execute_lane(
+    fn execute_durable(
         self: &Arc<Self>,
         lane: &Arc<IoLane>,
         log: &Arc<MetaLog>,
@@ -149,8 +142,8 @@ impl MgrEffects {
         let target = match log.submit_append_batch(&records) {
             Ok(t) => t,
             Err(e) => {
-                // Same fail-stop as the inline path: the in-memory
-                // manager is already ahead of a log that cannot advance.
+                // Fail-stop: the in-memory manager is already ahead of a
+                // log that cannot advance.
                 eprintln!("stdchk-mgr: fatal: metadata WAL append failed: {e}");
                 std::process::abort();
             }
@@ -188,7 +181,7 @@ impl MgrEffects {
         if res.is_err() {
             if log.is_poisoned() {
                 // The flusher hit an I/O error: fail-stop, exactly like
-                // a failed inline append — never ack-then-lose.
+                // a failed append — never ack-then-lose.
                 eprintln!("stdchk-mgr: fatal: metadata WAL flush failed");
                 std::process::abort();
             }
@@ -227,10 +220,10 @@ impl MgrEffects {
                 // A failed (or timed-out) send may have left a partial
                 // frame on the wire; any further message on this socket
                 // would desync the peer's framing. Drop the connection —
-                // peers are soft-state and re-register/retry. (The
-                // reactor link additionally fails on backpressure: a
-                // peer that stopped draining gets disconnected here.)
-                self.unbind_if(to, &conn);
+                // peers are soft-state and re-register/retry. (The link
+                // also fails on backpressure: a peer that stopped
+                // draining gets disconnected here.)
+                self.unbind_if(to, conn.token);
                 conn.shutdown();
             }
         }
@@ -239,8 +232,8 @@ impl MgrEffects {
     }
 }
 
-/// Routes one inbound message through the tiny connection handshake shared
-/// by both transports: binds the peer's identity (client/benefactor id or
+/// Routes one inbound message through the tiny connection handshake: binds
+/// the peer's identity (client/benefactor id or
 /// a synthetic helper id) in the registry, and returns `Some((from, msg))`
 /// when the message should be delivered to the manager node.
 ///
@@ -253,16 +246,6 @@ fn route_inbound(
     conn: &Link,
     msg: Msg,
 ) -> Option<(NodeId, Msg)> {
-    // Transport liveness probes never reach the node (the reactor answers
-    // them itself; this is the threaded path's equivalent).
-    match &msg {
-        Msg::Ping { nonce } => {
-            let _ = conn.send(&Msg::Pong { nonce: *nonce });
-            return None;
-        }
-        Msg::Pong { .. } => return None,
-        _ => {}
-    }
     let peer = bound_ids.last().copied();
     match (&msg, peer) {
         (
@@ -352,7 +335,7 @@ fn route_inbound(
 /// the shared [`NodeHost`], unbinds identities when connections die, and
 /// fires the manager's maintenance timers from the reactor's tick.
 struct MgrApp {
-    host: OnceLock<Arc<NodeHost<Manager, Arc<MgrEffects>>>>,
+    host: Arc<NodeHost<Manager, Arc<MgrEffects>>>,
     handle: OnceLock<crate::reactor::WeakHandle>,
     /// Identities bound by each live connection.
     bound: OrderedMutex<HashMap<ConnToken, Vec<NodeId>>>,
@@ -360,7 +343,7 @@ struct MgrApp {
 
 impl MgrApp {
     fn link(&self, conn: ConnToken) -> Link {
-        Link::Event {
+        Link {
             handle: self.handle.get().expect("handle set at spawn").clone(),
             token: conn,
         }
@@ -373,36 +356,31 @@ impl ReactorApp for MgrApp {
     }
 
     fn on_msg(&self, conn: ConnToken, msg: Msg) {
-        let Some(host) = self.host.get() else { return };
         let link = self.link(conn);
         let routed = {
             let mut bound = self.bound.lock();
             let ids = bound.entry(conn).or_default();
-            route_inbound(host.effects(), ids, &link, msg)
+            route_inbound(self.host.effects(), ids, &link, msg)
         };
         if let Some((from, msg)) = routed {
-            host.deliver(from, msg);
+            self.host.deliver(from, msg);
         }
     }
 
     fn on_close(&self, conn: ConnToken, _reason: CloseReason) {
-        let Some(host) = self.host.get() else { return };
-        let link = self.link(conn);
         if let Some(ids) = self.bound.lock().remove(&conn) {
             for id in ids {
-                host.effects().unbind_if(id, &link);
+                self.host.effects().unbind_if(id, conn);
             }
         }
     }
 
     fn next_deadline(&self) -> Option<Time> {
-        self.host.get().and_then(|h| h.next_deadline())
+        self.host.next_deadline()
     }
 
     fn on_tick(&self, now: Time) {
-        if let Some(host) = self.host.get() {
-            host.tick(now);
-        }
+        self.host.tick(now);
     }
 }
 
@@ -426,12 +404,11 @@ impl Effects for Arc<MgrEffects> {
     /// queue order and a send can never overtake the append queued ahead
     /// of it in an earlier batch.
     ///
-    /// With the disk I/O lane attached the pump no longer waits out the
-    /// group commit: the appends still run here (inline, buffered), the
-    /// replies park on the batch's outbox slot, and the lane's
-    /// `wait_appended` completion releases them — still strictly in
-    /// batch order (the outbox), so both invariants survive with the
-    /// fsync tail off the worker.
+    /// The pump never waits out the group commit: the appends run here
+    /// (buffered), the replies park on the batch's outbox slot, and the
+    /// disk I/O lane's `wait_appended` completion releases them — still
+    /// strictly in batch order (the outbox), so both invariants survive
+    /// with the fsync tail off the worker.
     ///
     /// A failed append is fail-stop: the in-memory manager has already
     /// applied mutations the log will never hold, so continuing would
@@ -450,23 +427,17 @@ impl Effects for Arc<MgrEffects> {
                 other => unreachable!("manager never requests {other:?}"),
             }
         }
-        if let (Some(lane), Some(log)) = (&self.lane, &self.metalog) {
-            let (lane, log) = (Arc::clone(lane), Arc::clone(log));
-            self.execute_lane(&lane, &log, records, sends);
-            return;
-        }
-        if !records.is_empty() {
-            let log = self
-                .metalog
-                .as_ref()
-                .expect("MetaAppend emitted without an attached MetaLog");
-            if let Err(e) = log.append_batch(&records) {
-                eprintln!("stdchk-mgr: fatal: metadata WAL append failed: {e}");
-                std::process::abort();
+        match &self.wal {
+            Some((log, lane)) => self.execute_durable(lane, log, records, sends),
+            None => {
+                assert!(
+                    records.is_empty(),
+                    "MetaAppend emitted without an attached MetaLog"
+                );
+                for (to, msg) in sends {
+                    self.transmit(to, &msg);
+                }
             }
-        }
-        for (to, msg) in sends {
-            self.transmit(to, &msg);
         }
     }
 }
@@ -475,10 +446,7 @@ impl Effects for Arc<MgrEffects> {
 pub struct ManagerServer {
     host: Arc<NodeHost<Manager, Arc<MgrEffects>>>,
     addr: SocketAddr,
-    /// The epoll transport (reactor backend only).
-    reactor: Option<Reactor>,
-    /// The disk I/O lane (durable mode with the lane enabled).
-    lane: Option<Arc<IoLane>>,
+    reactor: Reactor,
     /// The snapshot-installer thread (durable mode): joined on shutdown
     /// so its `Arc<MetaLog>` — and with it the log directory `LOCK` —
     /// is released promptly for a successor.
@@ -496,9 +464,8 @@ impl std::fmt::Debug for ManagerServer {
 impl ManagerServer {
     /// Binds `listen` (e.g. `"127.0.0.1:0"`) and starts serving with
     /// volatile metadata (the paper's soft-state manager: a restart
-    /// relies on heartbeats and re-offers). Transport comes from
-    /// [`ServerOpts::default`] (the reactor, unless
-    /// `STDCHK_NET_BACKEND=threaded`).
+    /// relies on heartbeats and re-offers), with [`ServerOpts::default`]
+    /// transport tuning.
     ///
     /// # Errors
     ///
@@ -507,8 +474,8 @@ impl ManagerServer {
         ManagerServer::spawn_with(listen, cfg, ServerOpts::default())
     }
 
-    /// [`ManagerServer::spawn`] with explicit transport tuning (backend,
-    /// reactor workers, idle reaping).
+    /// [`ManagerServer::spawn`] with explicit transport tuning (reactor
+    /// workers, idle reaping).
     ///
     /// # Errors
     ///
@@ -603,61 +570,42 @@ impl ManagerServer {
         };
         // The disk I/O lane: durable waits (WAL group commits, snapshot
         // fsync/prune) ride it instead of the pump that drained the
-        // batch. Only a durable manager has durable waits; the
-        // `STDCHK_IO_LANE=off` escape hatch keeps the inline baseline.
-        let lane = if opts.io_lane && metalog.is_some() {
-            Some(Arc::new(IoLane::new()))
-        } else {
-            None
-        };
-        if let (Some(lane), Some(log)) = (&lane, &metalog) {
-            log.set_io_lane(Arc::clone(lane));
-        }
+        // batch. Only a durable manager has durable waits.
+        let wal = metalog.clone().map(|log| {
+            let lane = Arc::new(IoLane::new());
+            log.set_io_lane(Arc::clone(&lane));
+            (log, lane)
+        });
         let effects = Arc::new(MgrEffects {
             conns: OrderedMutex::new(ranks::MGR_CONNS, "mgr.conns", HashMap::new()),
             next_client: AtomicU64::new(CLIENT_NET_BASE),
             next_helper: AtomicU64::new(HELPER_NET_BASE),
-            metalog: metalog.clone(),
-            lane: lane.clone(),
+            wal,
             outbox: OrderedMutex::new(ranks::MGR_OUTBOX, "mgr.outbox", Outbox::default()),
         });
         // Ordered host: WAL appends are queued ahead of the replies they
         // guard, and only in-order batch execution makes that
-        // write-ahead across racing connection threads.
+        // write-ahead across racing reactor workers.
         let host = NodeHost::new_ordered(manager, clock, effects);
 
-        let reactor = match opts.backend {
-            Backend::Threaded => {
-                // The generic event loop replaces the bespoke maintenance
-                // ticker: wakeups come from Manager::poll_timeout.
-                spawn_node_loop("stdchk-mgr-node", Arc::clone(&host));
-                None
-            }
-            Backend::Reactor => {
-                // Maintenance fires from the reactor's tick instead; no
-                // dedicated timer thread.
-                let app = Arc::new(MgrApp {
-                    host: OnceLock::new(),
-                    handle: OnceLock::new(),
-                    bound: OrderedMutex::new(ranks::MGR_BOUND, "mgr.bound", HashMap::new()),
-                });
-                let _ = app.host.set(Arc::clone(&host));
-                let reactor = Reactor::new(
-                    clock,
-                    Arc::clone(&app) as Arc<dyn ReactorApp>,
-                    ReactorConfig {
-                        workers: opts.workers,
-                    },
-                )?;
-                let _ = app.handle.set(reactor.handle().downgrade());
-                reactor.handle().add_listener(
-                    listener.try_clone()?,
-                    0,
-                    ConnOpts::server_default(opts.idle_timeout),
-                )?;
-                Some(reactor)
-            }
-        };
+        // Maintenance fires from the reactor's tick; no dedicated timer
+        // thread.
+        let app = Arc::new(MgrApp {
+            host: Arc::clone(&host),
+            handle: OnceLock::new(),
+            bound: OrderedMutex::new(ranks::MGR_BOUND, "mgr.bound", HashMap::new()),
+        });
+        let reactor = Reactor::new(
+            clock,
+            Arc::clone(&app) as Arc<dyn ReactorApp>,
+            ReactorConfig {
+                workers: opts.workers,
+            },
+        )?;
+        let _ = app.handle.set(reactor.handle().downgrade());
+        reactor
+            .handle()
+            .add_listener(listener, 0, ConnOpts::server_default(opts.idle_timeout))?;
 
         // Snapshot installer: once the WAL tail grows past the configured
         // threshold, serialize the manager and compact the log. The
@@ -691,33 +639,10 @@ impl ManagerServer {
                 .expect("spawn snapshotter")
         });
 
-        // Accept loop (threaded backend only; the reactor accepts through
-        // its registered listener).
-        if reactor.is_none() {
-            let host = Arc::clone(&host);
-            thread::Builder::new()
-                .name("stdchk-mgr-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if host.is_shutdown() {
-                            return;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        let host = Arc::clone(&host);
-                        thread::Builder::new()
-                            .name("stdchk-mgr-conn".into())
-                            .spawn(move || serve_conn(host, stream))
-                            .expect("spawn conn");
-                    }
-                })
-                .expect("spawn accept");
-        }
-
         Ok(ManagerServer {
             host,
             addr,
             reactor,
-            lane,
             snapshotter: OrderedMutex::new(ranks::MGR_SNAPSHOTTER, "mgr.snapshotter", snapshotter),
         })
     }
@@ -738,22 +663,21 @@ impl ManagerServer {
     pub fn meta_wal_tail(&self) -> Option<u64> {
         self.host
             .effects()
-            .metalog
+            .wal
             .as_ref()
-            .map(|m| m.records_since_snapshot())
+            .map(|(log, _)| log.records_since_snapshot())
     }
 
     /// The metadata WAL's [`SyncDelay`] fault-injection handle (`None`
     /// for a volatile manager). Test/bench instrumentation: inject an
-    /// fsync delay or failure into the WAL flusher to observe how disk
-    /// tails propagate (or, with the I/O lane, don't) to unrelated
-    /// connections.
+    /// fsync delay or failure into the WAL flusher to observe that disk
+    /// tails do not propagate to unrelated connections.
     pub fn meta_sync_faults(&self) -> Option<SyncDelay> {
         self.host
             .effects()
-            .metalog
+            .wal
             .as_ref()
-            .map(|m| m.sync_faults())
+            .map(|(log, _)| log.sync_faults())
     }
 
     /// Cumulative wire-dedup ledger (offered/wanted chunks, reused /
@@ -777,18 +701,13 @@ impl ManagerServer {
         self.host.with_node(|m| m.check_invariants());
     }
 
-    /// Stops accepting and ticking. Existing connection threads exit as
-    /// their sockets close. Joins the snapshotter so a durable manager's
-    /// log directory `LOCK` is released promptly for a successor (the
-    /// last straggler is any connection thread still draining its
-    /// `Arc`s; restart paths retry briefly on `AddrInUse`).
+    /// Stops accepting and ticking, and joins every thread the manager
+    /// started: the reactor's workers, the snapshotter (so a durable
+    /// manager's log directory `LOCK` is released promptly for a
+    /// successor) and the I/O lane.
     pub fn shutdown(&self) {
         self.host.shutdown();
-        if let Some(reactor) = &self.reactor {
-            reactor.shutdown();
-        }
-        // Unblock the threaded accept loop.
-        let _ = TcpStream::connect(self.addr);
+        self.reactor.shutdown();
         for (_, conn) in self.host.effects().conns.lock().drain() {
             conn.shutdown();
         }
@@ -798,7 +717,7 @@ impl ManagerServer {
         // Drain the I/O lane last: the MetaLog (and its flusher, which
         // the queued waits depend on) is still alive — it drops with the
         // effects, after this returns.
-        if let Some(lane) = &self.lane {
+        if let Some((_, lane)) = &self.host.effects().wal {
             lane.shutdown();
         }
     }
@@ -807,43 +726,5 @@ impl ManagerServer {
 impl Drop for ManagerServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Serves one connection: a small inbound handshake binds the peer in the
-/// registry (real id, client id, or synthetic helper id — every connection
-/// gets one), then every message is delivered through the generic host.
-fn serve_conn(host: Arc<NodeHost<Manager, Arc<MgrEffects>>>, stream: TcpStream) {
-    // Bound outbound writes: the manager's effects execute in order, so a
-    // peer that stops draining its socket must time out instead of
-    // stalling the whole reply pipeline behind its full buffer.
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let sender = Sender::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let Ok(reader) = sender.reader() else { return };
-    let link = Link::Thread(sender);
-
-    // Handshake state: every id this connection was bound under. A helper
-    // id can later be joined by the real node id a heartbeat announces; the
-    // last entry is the current peer identity, and all of them are unbound
-    // when the connection dies.
-    let mut bound_ids: Vec<NodeId> = Vec::new();
-    {
-        let host = Arc::clone(&host);
-        let link = link.clone();
-        let bound = &mut bound_ids;
-        // stdchk-allow(no-blocking-on-pump): threaded backend per-connection reader thread
-        read_loop(reader, move |msg| {
-            if let Some((from, msg)) = route_inbound(host.effects(), bound, &link, msg) {
-                host.deliver(from, msg);
-            }
-        });
-    }
-    // Unbind every identity this connection held so the registry never
-    // keeps a handle to a dead socket.
-    for id in bound_ids.drain(..) {
-        host.effects().unbind_if(id, &link);
     }
 }

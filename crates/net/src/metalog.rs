@@ -910,7 +910,16 @@ mod tests {
             }
             let before = lane.completed();
             mlog.install_with(|| snap.clone()).unwrap();
-            assert!(lane.completed() > before, "phase 2 must ride the lane");
+            // The lane counts a job only after it returns, and the job
+            // wakes this installer before returning: poll briefly.
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while lane.completed() <= before {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "phase 2 must ride the lane"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
             assert_eq!(mlog.wal_segment_count().unwrap(), 1);
             mlog.append(12, &rec(99)).unwrap();
         }

@@ -22,9 +22,9 @@
 //! |------|-------|----------------|
 //! | 100s | client grid (routes, benefactor links, address cache, delta signatures, session, stage) | client callbacks/user threads send while holding at most one of these |
 //! | 200s | server apps + effects (identity maps, WAL outbox, link registries, peer table, resolver) | the manager's outbox drains (transmits) while held → must precede link registries and the transport |
-//! | 500s | reactor (listeners, conn registry, per-conn decoder/outbound, dead-conn stats, blocking-lane queue) + threaded sender | sends from any lower band end here |
+//! | 500s | reactor (listeners, conn registry, per-conn decoder/outbound, dead-conn stats, blocking-lane queue) | sends from any lower band end here |
 //! | 600s | storage (segment-store shared state, metalog, group commit, I/O lane queue) | `compact` marks durability (group commit) while holding the store's shared state |
-//! | 650s | driver ([`NodeHost`](crate::NodeHost) node / turn order / timer gate) | the durable manager's snapshotter captures node state *while holding* the metalog install turnstile and tail, so the node ranks above storage; `pump` nests order inside the node lock; no path holds the node lock across a send or a storage acquisition (effects execute after the pump releases it) |
+//! | 650s | driver ([`NodeHost`](crate::NodeHost) node / turn order) | the durable manager's snapshotter captures node state *while holding* the metalog install turnstile and tail, so the node ranks above storage; `pump` nests order inside the node lock; no path holds the node lock across a send or a storage acquisition (effects execute after the pump releases it) |
 //! | 700s | join/flusher/snapshotter handle registries | shutdown-only; taken with nothing else held |
 //! | 50 | test-local locks | below everything: tests hold them across calls into the stack |
 //!
@@ -82,12 +82,11 @@ pub const BENEF_PEERS: u16 = 260;
 /// `BenefEffects.resolver`: the blocking manager RPC sideband (held
 /// across its blocking round-trip; acquires nothing further).
 pub const BENEF_RESOLVER: u16 = 270;
-/// `BenefEffects.host`: the node-host registry (threaded peer reader).
-pub const BENEF_HOST: u16 = 280;
-/// `BenefEffects.rapp`: the reactor-app registry (peer dial routing).
-pub const BENEF_RAPP: u16 = 290;
+/// `BenefEffects.app`: the reactor-app registry (peer dial routing,
+/// I/O-lane completions).
+pub const BENEF_APP: u16 = 280;
 
-// Reactor transport (reactor.rs, conn.rs). Workers take the conn
+// Reactor transport (reactor.rs). Workers take the conn
 // registry then a per-conn lock; `close_conn` folds stats after the
 // registry; app callbacks always run with every reactor lock released.
 /// `Inner.listeners`: armed listener registry.
@@ -102,8 +101,6 @@ pub const REACTOR_OUT: u16 = 530;
 pub const REACTOR_DEAD_STATS: u16 = 540;
 /// `Inner.jobs`: the blocking dial lane's delayed-job queue.
 pub const REACTOR_JOBS: u16 = 550;
-/// `Sender.stream` (threaded backend): the write half of one socket.
-pub const CONN_STREAM: u16 = 560;
 
 // Storage engines (store/, metalog.rs, log.rs, iolane.rs). The orders
 // that matter: segment compaction marks durability while holding the
@@ -129,14 +126,11 @@ pub const IOLANE_JOBS: u16 = 640;
 // the metalog install turnstile and WAL tail. The reverse direction
 // never holds — `pump` releases the node lock before its effects
 // execute, so node-held code acquires no transport or storage lock.
-// `pump` acquires the turn-order lock inside the node lock; the timer
-// gate is parked on with nothing else held.
+// `pump` acquires the turn-order lock inside the node lock.
 /// `NodeHost.node`: the protocol state machine.
 pub const NODE: u16 = 650;
 /// `NodeHost.order`: ordered-host turn tickets.
 pub const NODE_ORDER: u16 = 660;
-/// `NodeHost.timer_gate`: the timer thread's wakeup parking lot.
-pub const NODE_TIMER: u16 = 670;
 
 // Shutdown-only handle registries: joined with nothing else held.
 /// `Reactor.joins`: worker + blocking-lane thread handles.

@@ -1,9 +1,9 @@
 //! Readiness-based network core: an epoll reactor with a fixed worker
 //! pool.
 //!
-//! The thread-per-connection transport scaled threads with *connections*;
-//! this module scales with *workers*. A [`Reactor`] owns N worker
-//! threads, each running an `epoll_wait` loop over nonblocking sockets:
+//! The transport scales threads with *workers*, never with connections.
+//! A [`Reactor`] owns N worker threads, each running an `epoll_wait` loop
+//! over nonblocking sockets:
 //!
 //! - **inbound**: readable sockets are drained into a per-worker scratch
 //!   buffer and fed through an incremental
@@ -11,11 +11,13 @@
 //!   message is handed to the application via [`ReactorApp::on_msg`]
 //!   (chunk payloads are zero-copy slices of the frame buffer);
 //! - **outbound**: [`ReactorHandle::send`] serializes onto the
-//!   connection's resumable [`FrameEncoder`]
-//!   and flushes opportunistically; what the socket refuses is written by
-//!   the owning worker when `EPOLLOUT` fires. Outbound buffers are
-//!   **bounded**: a peer that stops draining (or died silently) is
-//!   disconnected — it can never block the pump;
+//!   connection's resumable [`FrameEncoder`] (chunk payloads stay shared
+//!   `Bytes` segments flushed by `writev`; [`ReactorHandle::send_file_region`]
+//!   queues a `sendfile` region instead) and flushes opportunistically;
+//!   what the socket refuses is written by the owning worker when
+//!   `EPOLLOUT` fires. Outbound buffers are **bounded**: a peer that stops
+//!   draining (or died silently) is disconnected — it can never block the
+//!   pump;
 //! - **timers**: worker 0 folds the application's
 //!   [`poll_timeout`](stdchk_core::Node::poll_timeout)-derived deadline
 //!   ([`ReactorApp::next_deadline`]) and the connection sweep into its
@@ -243,18 +245,11 @@ pub struct ConnOpts {
     /// accepted none of them for this long. This is the time-domain
     /// liveness bound on sends (the byte-domain bound is `max_outbound`):
     /// a dead or wedged peer fails in-flight transfers over within
-    /// seconds — the reactor's equivalent of the blocking transport's
-    /// socket write timeout. Slow-but-moving peers are unaffected; only
-    /// zero progress trips it.
+    /// seconds, much like a blocking socket's write timeout.
+    /// Slow-but-moving peers are unaffected; only zero progress trips it.
     pub write_stall_timeout: Option<Duration>,
     /// Largest accepted inbound frame.
     pub max_frame: u32,
-    /// Keep outbound chunk payloads as shared `Bytes` segments and flush
-    /// header + payload with one vectored write (`writev`), instead of
-    /// flattening every frame into a contiguous copy. Also gates the
-    /// `sendfile` file-region path. Defaults from `STDCHK_ZEROCOPY`
-    /// ([`crate::zerocopy_enabled`]); off is the copying A/B baseline.
-    pub zerocopy: bool,
 }
 
 impl Default for ConnOpts {
@@ -265,7 +260,6 @@ impl Default for ConnOpts {
             max_outbound: 256 << 20,
             write_stall_timeout: Some(Duration::from_secs(5)),
             max_frame: MAX_FRAME,
-            zerocopy: crate::zerocopy_enabled(),
         }
     }
 }
@@ -408,7 +402,9 @@ pub struct TransportStats {
     pub frames_tx: u64,
     /// Frames decoded from inbound bytes (including transport pings).
     pub frames_rx: u64,
-    /// Payload bytes copied into a flat frame buffer (the baseline path).
+    /// Payload bytes copied into a contiguous frame buffer. Chunk
+    /// payloads always leave by `writev` or `sendfile`, so a non-zero
+    /// value flags a copy that crept onto the transmit path.
     pub copied_payload_tx: u64,
     /// Payload bytes sent without a user-space copy (writev or sendfile).
     pub zerocopy_payload_tx: u64,
@@ -461,10 +457,9 @@ impl Outbound {
 
     /// Serializes `msg` onto the tail encoder (appending one if the tail
     /// is a file region), crediting the payload-copy counters.
-    fn push_msg(&mut self, msg: &Msg, track: Option<u64>, vectored: bool, stats: &ConnStats) {
+    fn push_msg(&mut self, msg: &Msg, track: Option<u64>, stats: &ConnStats) {
         if !matches!(self.q.back(), Some(TxItem::Frames(_))) {
-            self.q
-                .push_back(TxItem::Frames(FrameEncoder::with_vectored(vectored)));
+            self.q.push_back(TxItem::Frames(FrameEncoder::new()));
         }
         let Some(TxItem::Frames(enc)) = self.q.back_mut() else {
             unreachable!("just ensured a tail encoder");
@@ -1105,7 +1100,7 @@ impl Inner {
     /// Serialize + opportunistic flush; arms `EPOLLOUT` for the remainder.
     fn send_on(&self, conn: &Arc<ConnShared>, msg: &Msg, track: Option<u64>) -> io::Result<()> {
         self.enqueue_and_flush(conn, |out, conn| {
-            out.push_msg(msg, track, conn.opts.zerocopy, &conn.stats);
+            out.push_msg(msg, track, &conn.stats);
         })
     }
 

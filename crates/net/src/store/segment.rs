@@ -432,11 +432,10 @@ impl SegmentStore {
         self.core.gc.sync_count()
     }
 
-    /// One `sync_data`, counted. Routed through the optional io_uring
-    /// submission lane (`STDCHK_IO_URING`); blocking `fdatasync` otherwise.
+    /// One `sync_data`, counted.
     fn sync_file(&self, file: &File) -> io::Result<()> {
         self.core.gc.count_sync();
-        crate::uring::sync_data(file)
+        file.sync_data()
     }
 
     /// Inline durability point: syncs every pending sealed file plus the
@@ -803,10 +802,9 @@ impl ChunkStore for SegmentStore {
             (Arc::clone(&seg.file), loc)
         };
         // pread outside the lock: the Arc keeps the file readable even if a
-        // concurrent compaction unlinks the segment. The read goes through
-        // the optional io_uring submission lane (`STDCHK_IO_URING`).
+        // concurrent compaction unlinks the segment.
         let mut buf = vec![0u8; HEADER + loc.len as usize];
-        crate::uring::read_exact_at(&file, &mut buf, loc.off)?;
+        file.read_exact_at(&mut buf, loc.off)?;
         let len = crate::log::le_u32(&buf, 0);
         let header_ok = len == loc.len && buf[4] == KIND_PUT && buf[5..37] == *id.as_bytes();
         let crc_ok = !self.cfg.verify_reads || {

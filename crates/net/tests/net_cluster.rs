@@ -9,7 +9,7 @@ use stdchk_core::session::write::{SessionConfig, WriteProtocol};
 use stdchk_core::{BenefactorConfig, PoolConfig};
 use stdchk_net::store::{DiskStore, MemStore, SegmentStore};
 use stdchk_net::{
-    Backend, BenefactorNetConfig, BenefactorServer, Grid, GridRuntime, ManagerServer, ServerOpts,
+    BenefactorNetConfig, BenefactorServer, Grid, GridRuntime, ManagerServer, ServerOpts,
     WriteOptions,
 };
 use stdchk_proto::policy::RetentionPolicy;
@@ -741,11 +741,6 @@ fn process_threads() -> usize {
 /// threads here; the reactor adds none per connection.
 #[test]
 fn reactor_stress_many_sessions_worker_bounded_threads() {
-    if Backend::from_env() != Backend::Reactor {
-        // The threaded backend intentionally scales threads with
-        // connections; this contract is reactor-only.
-        return;
-    }
     const SESSIONS: usize = 256;
     const FILE_BYTES: usize = 96 << 10; // 1.5 chunks at the 64 KiB size
 
@@ -877,23 +872,18 @@ fn reactor_stress_many_sessions_worker_bounded_threads() {
 /// connection and reader state forever.
 #[test]
 fn reactor_reaps_stalled_connection() {
-    if Backend::from_env() != Backend::Reactor {
-        return;
-    }
     let mgr = ManagerServer::spawn_with(
         "127.0.0.1:0",
         PoolConfig::fast_for_tests(),
         ServerOpts {
-            backend: Backend::Reactor,
             workers: 2,
             idle_timeout: Some(Duration::from_millis(400)),
-            ..ServerOpts::default()
         },
     )
     .expect("manager");
 
-    // A wedged peer: 3 of the 4 frame-header bytes, then silence. Under
-    // the old blocking transport this parked a reader thread forever.
+    // A wedged peer: 3 of the 4 frame-header bytes, then silence. A
+    // blocking reader would park on it forever.
     let mut stalled = std::net::TcpStream::connect(mgr.addr()).expect("connect");
     stalled.write_all(&[7, 0, 0]).expect("partial header");
     stalled
@@ -926,13 +916,6 @@ fn io_lane_decouples_unrelated_rtt_from_fsync_tails() {
     use stdchk_proto::frame::{read_frame, write_frame};
     use stdchk_proto::msg::Msg;
 
-    if Backend::from_env() != Backend::Reactor || !ServerOpts::io_lane_from_env() {
-        // The inline (`STDCHK_IO_LANE=off`) and threaded baselines
-        // intentionally pay the tail on the delivering thread; this
-        // decoupling contract is lane-only (the iolane bench measures
-        // the baseline for comparison).
-        return;
-    }
     const DELAY: Duration = Duration::from_millis(100);
     const FILES: usize = 12;
     let meta_dir = std::env::temp_dir().join(format!("stdchk-mgr-lane-{}", std::process::id()));
@@ -945,7 +928,6 @@ fn io_lane_decouples_unrelated_rtt_from_fsync_tails() {
         &meta_dir,
         stdchk_net::metalog::MetaLogConfig::default(),
         ServerOpts {
-            backend: Backend::Reactor,
             workers: 1,
             ..ServerOpts::default()
         },
@@ -1280,17 +1262,21 @@ fn mid_sendfile_disconnect_releases_file_region() {
 
     // The close must release the region's file handle: our Arc goes back
     // to exactly 2 owners (this test + the app), and the conn is gone.
+    // `on_close` runs just after the registry removal, so wait for it too.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while Arc::strong_count(&file) > 2 || reactor.handle().conn_count() > 0 {
+    while Arc::strong_count(&file) > 2
+        || reactor.handle().conn_count() > 0
+        || app.closed.load(Ordering::SeqCst) == 0
+    {
         assert!(
             Instant::now() < deadline,
-            "pending file region leaked: {} Arc owners, {} conns",
+            "pending file region leaked: {} Arc owners, {} conns, {} closes",
             Arc::strong_count(&file),
-            reactor.handle().conn_count()
+            reactor.handle().conn_count(),
+            app.closed.load(Ordering::SeqCst)
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(app.closed.load(Ordering::SeqCst) >= 1, "close not observed");
     assert_eq!(
         app.sent.load(Ordering::SeqCst),
         0,
@@ -1337,9 +1323,6 @@ fn mid_sendfile_disconnect_releases_file_region() {
 /// zero-copy payload traffic.
 #[test]
 fn sealed_chunks_serve_zero_copy_end_to_end() {
-    if !stdchk_net::zerocopy_enabled() || Backend::from_env() != Backend::Reactor {
-        return; // A/B baseline runs exercise the copying path instead.
-    }
     let dir = std::env::temp_dir().join(format!("stdchk-net-zc-e2e-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let mut pool_cfg = PoolConfig::fast_for_tests();
@@ -1380,7 +1363,7 @@ fn sealed_chunks_serve_zero_copy_end_to_end() {
 
     let before = benef
         .transport_stats()
-        .expect("reactor backend")
+        .expect("transport stats")
         .zerocopy_payload_tx;
     let read_back = grid
         .open("/app/zc.n0", None)
@@ -1390,7 +1373,7 @@ fn sealed_chunks_serve_zero_copy_end_to_end() {
     assert_eq!(read_back, data, "zero-copy read must be byte-exact");
     let after = benef
         .transport_stats()
-        .expect("reactor backend")
+        .expect("transport stats")
         .zerocopy_payload_tx;
     assert!(
         after > before,

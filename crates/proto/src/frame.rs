@@ -12,7 +12,8 @@
 //! - [`FrameBuf`] — a simpler incremental splitter yielding raw frame
 //!   bodies;
 //! - [`read_frame`] / [`write_frame`] — blocking helpers for `std::io`
-//!   streams (handshakes, legacy thread-per-connection paths).
+//!   streams (bounded connect handshakes, the blocking resolver
+//!   sideband, raw test and bench clients).
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
