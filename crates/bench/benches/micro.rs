@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 use stdchk_chunker::{CbChunker, CbRollingChunker, Chunker, FsChunker};
-use stdchk_core::{Manager, PoolConfig};
+use stdchk_core::{Action, Manager, Node, PoolConfig};
 use stdchk_proto::codec::Wire;
 use stdchk_proto::ids::{ChunkId, NodeId, RequestId};
 use stdchk_proto::msg::Msg;
@@ -103,7 +103,7 @@ fn bench_manager(c: &mut Criterion) {
             || {
                 let mut mgr = Manager::new(PoolConfig::default());
                 for i in 1..=8u64 {
-                    mgr.handle_msg(
+                    mgr.handle(
                         NodeId(i),
                         Msg::Heartbeat {
                             node: NodeId(i),
@@ -114,11 +114,12 @@ fn bench_manager(c: &mut Criterion) {
                         Time::ZERO,
                     );
                 }
+                mgr.drain_actions();
                 mgr
             },
             |mut mgr| {
                 for f in 0..32u64 {
-                    let out = mgr.handle_msg(
+                    mgr.handle(
                         NodeId(100),
                         Msg::CreateFile {
                             req: RequestId(f * 2 + 1),
@@ -130,16 +131,20 @@ fn bench_manager(c: &mut Criterion) {
                         },
                         Time::ZERO,
                     );
-                    let (res, stripe) = match &out[0].msg {
-                        Msg::CreateFileOk {
-                            reservation,
-                            stripe,
+                    let (res, stripe) = match mgr.poll_action() {
+                        Some(Action::Send {
+                            msg:
+                                Msg::CreateFileOk {
+                                    reservation,
+                                    stripe,
+                                    ..
+                                },
                             ..
-                        } => (*reservation, stripe.clone()),
+                        }) => (reservation, stripe),
                         other => panic!("unexpected {other:?}"),
                     };
                     let id = ChunkId::test_id(f);
-                    mgr.handle_msg(
+                    mgr.handle(
                         NodeId(100),
                         Msg::CommitChunkMap {
                             req: RequestId(f * 2 + 2),
@@ -151,6 +156,7 @@ fn bench_manager(c: &mut Criterion) {
                         },
                         Time::ZERO,
                     );
+                    mgr.drain_actions();
                 }
                 mgr
             },

@@ -12,11 +12,9 @@
 //! the authoritative index of chunk ids, sizes and store times, and emits
 //! [`Action::Store`]/[`Action::Load`] for the driver to fulfil.
 //!
-//! The benefactor implements the unified [`Node`] API: feed it messages and
-//! completions, drain [`Action`]s with `poll_action`, and schedule
-//! `handle_timeout` from `poll_timeout`. The `Vec`-returning methods
-//! ([`Benefactor::handle_msg`], [`Benefactor::tick`], …) are thin
-//! compatibility shims kept for tests.
+//! The benefactor implements the unified [`Node`] API and nothing else:
+//! feed it messages and completions, drain [`Action`]s with `poll_action`,
+//! and schedule `handle_timeout` from `poll_timeout`.
 
 use std::collections::HashMap;
 
@@ -73,57 +71,6 @@ impl BenefactorConfig {
             put_timeout: Dur::from_millis(200),
             reoffer_every: Dur::from_millis(100),
             stash_ttl: Dur::from_secs(10),
-        }
-    }
-}
-
-/// Legacy benefactor action vocabulary, kept as a compatibility shim for
-/// tests. Drivers dispatch on the unified [`Action`] enum instead.
-#[derive(Clone, Debug)]
-pub enum BenefactorAction {
-    /// Send a protocol message.
-    Send {
-        /// Destination node (the manager, a client, or a peer benefactor).
-        to: NodeId,
-        /// The message.
-        msg: Msg,
-    },
-    /// Persist chunk data; deliver [`Completion::Stored`] when done.
-    Store {
-        /// Completion correlation token.
-        op: u64,
-        /// The chunk being stored.
-        chunk: ChunkId,
-        /// The data (possibly virtual).
-        payload: Payload,
-    },
-    /// Read chunk data back; deliver [`Completion::Loaded`].
-    Load {
-        /// Completion correlation token.
-        op: u64,
-        /// The chunk to read.
-        chunk: ChunkId,
-        /// Size on record (drivers without a blob store cost the read with
-        /// this; drivers with one may ignore it).
-        size: u32,
-    },
-    /// Remove chunk data from the backing store (no completion needed).
-    Drop {
-        /// The chunk to remove.
-        chunk: ChunkId,
-    },
-}
-
-impl From<Action> for BenefactorAction {
-    fn from(a: Action) -> BenefactorAction {
-        match a {
-            Action::Send { to, msg } => BenefactorAction::Send { to, msg },
-            Action::Store { op, chunk, payload } => BenefactorAction::Store { op, chunk, payload },
-            Action::Load {
-                op, chunk, size, ..
-            } => BenefactorAction::Load { op, chunk, size },
-            Action::DropChunk { chunk } => BenefactorAction::Drop { chunk },
-            other => unreachable!("benefactor never emits {other:?}"),
         }
     }
 }
@@ -952,47 +899,6 @@ impl Benefactor {
     pub fn stashed_commits(&self) -> usize {
         self.stash.len()
     }
-
-    // ------------------------------------------------------ legacy shims
-
-    fn take_legacy(&mut self) -> Vec<BenefactorAction> {
-        self.actions
-            .drain()
-            .into_iter()
-            .map(BenefactorAction::from)
-            .collect()
-    }
-
-    /// Compatibility shim over [`Node::handle`]: processes one message and
-    /// drains the resulting actions.
-    pub fn handle_msg(&mut self, from: NodeId, msg: Msg, now: Time) -> Vec<BenefactorAction> {
-        Node::handle(self, from, msg, now);
-        self.take_legacy()
-    }
-
-    /// Compatibility shim over [`Node::handle_timeout`].
-    pub fn tick(&mut self, now: Time) -> Vec<BenefactorAction> {
-        Node::handle_timeout(self, now);
-        self.take_legacy()
-    }
-
-    /// Compatibility shim over [`Completion::Stored`].
-    pub fn on_store_complete(&mut self, op: u64, now: Time) -> Vec<BenefactorAction> {
-        self.complete_store(op, now);
-        self.take_legacy()
-    }
-
-    /// Compatibility shim over [`Completion::Loaded`].
-    pub fn on_load_complete(
-        &mut self,
-        op: u64,
-        chunk: ChunkId,
-        payload: Payload,
-        now: Time,
-    ) -> Vec<BenefactorAction> {
-        self.complete_load(op, chunk, payload, now);
-        self.take_legacy()
-    }
 }
 
 impl Node for Benefactor {
@@ -1062,11 +968,11 @@ mod tests {
     use super::*;
     use bytes::Bytes;
 
-    fn send_msgs(actions: &[BenefactorAction]) -> Vec<&Msg> {
+    fn send_msgs(actions: &[Action]) -> Vec<&Msg> {
         actions
             .iter()
             .filter_map(|a| match a {
-                BenefactorAction::Send { msg, .. } => Some(msg),
+                Action::Send { msg, .. } => Some(msg),
                 _ => None,
             })
             .collect()
@@ -1079,7 +985,8 @@ mod tests {
     #[test]
     fn pre_assigned_id_heartbeats_without_joining() {
         let mut b = make();
-        let out = b.tick(Time::ZERO);
+        b.handle_timeout(Time::ZERO);
+        let out = b.drain_actions();
         let msgs = send_msgs(&out);
         assert!(matches!(
             msgs[0],
@@ -1089,20 +996,23 @@ mod tests {
             }
         ));
         // No duplicate heartbeat before the period elapses.
-        assert!(b.tick(Time::ZERO + Dur::from_millis(10)).is_empty());
-        let out = b.tick(Time::ZERO + Dur::from_millis(60));
+        b.handle_timeout(Time::ZERO + Dur::from_millis(10));
+        assert!(b.drain_actions().is_empty());
+        b.handle_timeout(Time::ZERO + Dur::from_millis(60));
+        let out = b.drain_actions();
         assert!(!send_msgs(&out).is_empty());
     }
 
     #[test]
     fn zero_id_joins_first() {
         let mut b = Benefactor::new(NodeId(0), 1 << 20, BenefactorConfig::fast_for_tests());
-        let out = b.tick(Time::ZERO);
+        b.handle_timeout(Time::ZERO);
+        let out = b.drain_actions();
         let req = match send_msgs(&out)[0] {
             Msg::JoinRequest { req, .. } => *req,
             other => panic!("expected join, got {other:?}"),
         };
-        let out = b.handle_msg(
+        b.handle(
             MANAGER_NODE,
             Msg::JoinOk {
                 req,
@@ -1111,6 +1021,7 @@ mod tests {
             },
             Time::ZERO,
         );
+        let out = b.drain_actions();
         assert_eq!(b.id(), NodeId(9));
         assert!(matches!(
             send_msgs(&out)[0],
@@ -1126,7 +1037,7 @@ mod tests {
         let mut b = make();
         let data = Bytes::from_static(b"hello chunk");
         let chunk = ChunkId::for_content(&data);
-        let out = b.handle_msg(
+        b.handle(
             NodeId(7),
             Msg::PutChunk {
                 req: RequestId(1),
@@ -1137,15 +1048,17 @@ mod tests {
             },
             Time::ZERO,
         );
+        let out = b.drain_actions();
         let op = match &out[0] {
-            BenefactorAction::Store { op, .. } => *op,
+            Action::Store { op, .. } => *op,
             other => panic!("expected store, got {other:?}"),
         };
         assert!(b.contains(chunk));
         assert_eq!(b.used_space(), 11);
-        let out = b.on_store_complete(op, Time::ZERO);
+        b.handle_completion(Completion::Stored { op }, Time::ZERO);
+        let out = b.drain_actions();
         match &out[0] {
-            BenefactorAction::Send { to, msg } => {
+            Action::Send { to, msg } => {
                 assert_eq!(*to, NodeId(7));
                 assert!(matches!(msg, Msg::PutChunkOk { .. }));
             }
@@ -1158,7 +1071,7 @@ mod tests {
         let mut b = make();
         let data = Bytes::from_static(b"x");
         let chunk = ChunkId::for_content(&data);
-        let out = b.handle_msg(
+        b.handle(
             NodeId(7),
             Msg::PutChunk {
                 req: RequestId(1),
@@ -1169,10 +1082,12 @@ mod tests {
             },
             Time::ZERO,
         );
-        if let BenefactorAction::Store { op, .. } = out[0] {
-            b.on_store_complete(op, Time::ZERO);
+        let out = b.drain_actions();
+        if let Action::Store { op, .. } = out[0] {
+            b.handle_completion(Completion::Stored { op }, Time::ZERO);
+            b.drain_actions();
         }
-        let out = b.handle_msg(
+        b.handle(
             NodeId(8),
             Msg::PutChunk {
                 req: RequestId(2),
@@ -1183,9 +1098,10 @@ mod tests {
             },
             Time::ZERO,
         );
+        let out = b.drain_actions();
         assert!(matches!(
             &out[0],
-            BenefactorAction::Send {
+            Action::Send {
                 msg: Msg::PutChunkOk { .. },
                 ..
             }
@@ -1196,7 +1112,7 @@ mod tests {
     #[test]
     fn corrupt_put_is_rejected() {
         let mut b = make();
-        let out = b.handle_msg(
+        b.handle(
             NodeId(7),
             Msg::PutChunk {
                 req: RequestId(1),
@@ -1207,6 +1123,7 @@ mod tests {
             },
             Time::ZERO,
         );
+        let out = b.drain_actions();
         match send_msgs(&out)[0] {
             Msg::ErrorReply { code, .. } => assert_eq!(*code, ErrorCode::Corrupt),
             other => panic!("unexpected {other:?}"),
@@ -1219,7 +1136,7 @@ mod tests {
         let mut b = Benefactor::new(NodeId(5), 10, BenefactorConfig::fast_for_tests());
         let data = Bytes::from(vec![1u8; 11]);
         let chunk = ChunkId::for_content(&data);
-        let out = b.handle_msg(
+        b.handle(
             NodeId(7),
             Msg::PutChunk {
                 req: RequestId(1),
@@ -1230,6 +1147,7 @@ mod tests {
             },
             Time::ZERO,
         );
+        let out = b.drain_actions();
         match send_msgs(&out)[0] {
             Msg::ErrorReply { code, .. } => assert_eq!(*code, ErrorCode::NoSpace),
             other => panic!("unexpected {other:?}"),
@@ -1241,7 +1159,7 @@ mod tests {
         let mut b = make();
         let data = Bytes::from_static(b"payload");
         let chunk = ChunkId::for_content(&data);
-        let out = b.handle_msg(
+        b.handle(
             NodeId(7),
             Msg::PutChunk {
                 req: RequestId(1),
@@ -1252,10 +1170,12 @@ mod tests {
             },
             Time::ZERO,
         );
-        if let BenefactorAction::Store { op, .. } = out[0] {
-            b.on_store_complete(op, Time::ZERO);
+        let out = b.drain_actions();
+        if let Action::Store { op, .. } = out[0] {
+            b.handle_completion(Completion::Stored { op }, Time::ZERO);
+            b.drain_actions();
         }
-        let out = b.handle_msg(
+        b.handle(
             NodeId(8),
             Msg::GetChunk {
                 req: RequestId(2),
@@ -1263,13 +1183,22 @@ mod tests {
             },
             Time::ZERO,
         );
+        let out = b.drain_actions();
         let op = match &out[0] {
-            BenefactorAction::Load { op, .. } => *op,
+            Action::Load { op, .. } => *op,
             other => panic!("expected load, got {other:?}"),
         };
-        let out = b.on_load_complete(op, chunk, Payload::Real(data.clone()), Time::ZERO);
+        b.handle_completion(
+            Completion::Loaded {
+                op,
+                chunk,
+                payload: Payload::Real(data.clone()),
+            },
+            Time::ZERO,
+        );
+        let out = b.drain_actions();
         match &out[0] {
-            BenefactorAction::Send { to, msg } => {
+            Action::Send { to, msg } => {
                 assert_eq!(*to, NodeId(8));
                 match msg {
                     Msg::GetChunkOk { data: d, .. } => assert_eq!(d, &data),
@@ -1283,7 +1212,7 @@ mod tests {
     #[test]
     fn get_missing_chunk_is_not_found() {
         let mut b = make();
-        let out = b.handle_msg(
+        b.handle(
             NodeId(8),
             Msg::GetChunk {
                 req: RequestId(2),
@@ -1291,6 +1220,7 @@ mod tests {
             },
             Time::ZERO,
         );
+        let out = b.drain_actions();
         match send_msgs(&out)[0] {
             Msg::ErrorReply { code, .. } => assert_eq!(*code, ErrorCode::NotFound),
             other => panic!("unexpected {other:?}"),
@@ -1302,7 +1232,7 @@ mod tests {
         let mut b = make();
         let data = Bytes::from_static(b"abc");
         let chunk = ChunkId::for_content(&data);
-        let out = b.handle_msg(
+        b.handle(
             NodeId(7),
             Msg::PutChunk {
                 req: RequestId(1),
@@ -1313,17 +1243,20 @@ mod tests {
             },
             Time::ZERO,
         );
-        if let BenefactorAction::Store { op, .. } = out[0] {
-            b.on_store_complete(op, Time::ZERO);
+        let out = b.drain_actions();
+        if let Action::Store { op, .. } = out[0] {
+            b.handle_completion(Completion::Stored { op }, Time::ZERO);
+            b.drain_actions();
         }
-        let out = b.handle_msg(
+        b.handle(
             MANAGER_NODE,
             Msg::DeleteChunks {
                 chunks: vec![chunk],
             },
             Time::ZERO,
         );
-        assert!(matches!(out[0], BenefactorAction::Drop { .. }));
+        let out = b.drain_actions();
+        assert!(matches!(out[0], Action::DropChunk { .. }));
         assert_eq!(b.used_space(), 0);
     }
 
@@ -1332,7 +1265,7 @@ mod tests {
         let mut b = make();
         let data = Bytes::from_static(b"replica me");
         let chunk = ChunkId::for_content(&data);
-        let out = b.handle_msg(
+        b.handle(
             NodeId(7),
             Msg::PutChunk {
                 req: RequestId(1),
@@ -1343,10 +1276,12 @@ mod tests {
             },
             Time::ZERO,
         );
-        if let BenefactorAction::Store { op, .. } = out[0] {
-            b.on_store_complete(op, Time::ZERO);
+        let out = b.drain_actions();
+        if let Action::Store { op, .. } = out[0] {
+            b.handle_completion(Completion::Stored { op }, Time::ZERO);
+            b.drain_actions();
         }
-        let out = b.handle_msg(
+        b.handle(
             MANAGER_NODE,
             Msg::ReplicateCmd {
                 job: 9,
@@ -1357,13 +1292,22 @@ mod tests {
             },
             Time::ZERO,
         );
+        let out = b.drain_actions();
         let op = match &out[0] {
-            BenefactorAction::Load { op, .. } => *op,
+            Action::Load { op, .. } => *op,
             other => panic!("expected load, got {other:?}"),
         };
-        let out = b.on_load_complete(op, chunk, Payload::Real(data), Time::ZERO);
+        b.handle_completion(
+            Completion::Loaded {
+                op,
+                chunk,
+                payload: Payload::Real(data),
+            },
+            Time::ZERO,
+        );
+        let out = b.drain_actions();
         let req = match &out[0] {
-            BenefactorAction::Send { to, msg } => {
+            Action::Send { to, msg } => {
                 assert_eq!(*to, NodeId(6));
                 match msg {
                     Msg::PutChunk {
@@ -1378,7 +1322,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         };
         // Target acks; job completes.
-        let out = b.handle_msg(
+        b.handle(
             NodeId(6),
             Msg::PutChunkOk {
                 req,
@@ -1387,6 +1331,7 @@ mod tests {
             },
             Time::ZERO,
         );
+        let out = b.drain_actions();
         match send_msgs(&out)[0] {
             Msg::ReplicateReport { done, failed, .. } => {
                 assert_eq!(done.len(), 1);
@@ -1399,7 +1344,7 @@ mod tests {
     #[test]
     fn replication_of_missing_chunk_fails_fast() {
         let mut b = make();
-        let out = b.handle_msg(
+        b.handle(
             MANAGER_NODE,
             Msg::ReplicateCmd {
                 job: 3,
@@ -1410,6 +1355,7 @@ mod tests {
             },
             Time::ZERO,
         );
+        let out = b.drain_actions();
         match send_msgs(&out)[0] {
             Msg::ReplicateReport { done, failed, .. } => {
                 assert!(done.is_empty());
@@ -1424,7 +1370,7 @@ mod tests {
         let mut b = make();
         let data = Bytes::from_static(b"slow");
         let chunk = ChunkId::for_content(&data);
-        let out = b.handle_msg(
+        b.handle(
             NodeId(7),
             Msg::PutChunk {
                 req: RequestId(1),
@@ -1435,10 +1381,12 @@ mod tests {
             },
             Time::ZERO,
         );
-        if let BenefactorAction::Store { op, .. } = out[0] {
-            b.on_store_complete(op, Time::ZERO);
+        let out = b.drain_actions();
+        if let Action::Store { op, .. } = out[0] {
+            b.handle_completion(Completion::Stored { op }, Time::ZERO);
+            b.drain_actions();
         }
-        let out = b.handle_msg(
+        b.handle(
             MANAGER_NODE,
             Msg::ReplicateCmd {
                 job: 4,
@@ -1449,11 +1397,21 @@ mod tests {
             },
             Time::ZERO,
         );
-        if let BenefactorAction::Load { op, .. } = out[0] {
-            b.on_load_complete(op, chunk, Payload::Real(data), Time::ZERO);
+        let out = b.drain_actions();
+        if let Action::Load { op, .. } = out[0] {
+            b.handle_completion(
+                Completion::Loaded {
+                    op,
+                    chunk,
+                    payload: Payload::Real(data),
+                },
+                Time::ZERO,
+            );
+            b.drain_actions();
         }
         // No ack arrives; tick past the timeout.
-        let out = b.tick(Time::ZERO + Dur::from_millis(300));
+        b.handle_timeout(Time::ZERO + Dur::from_millis(300));
+        let out = b.drain_actions();
         let report = send_msgs(&out)
             .into_iter()
             .find(|m| matches!(m, Msg::ReplicateReport { .. }))
@@ -1469,7 +1427,7 @@ mod tests {
         let mut b = make();
         let old = Bytes::from_static(b"old");
         let old_id = ChunkId::for_content(&old);
-        let out = b.handle_msg(
+        b.handle(
             NodeId(7),
             Msg::PutChunk {
                 req: RequestId(1),
@@ -1480,13 +1438,15 @@ mod tests {
             },
             Time::ZERO,
         );
-        if let BenefactorAction::Store { op, .. } = out[0] {
-            b.on_store_complete(op, Time::ZERO);
+        let out = b.drain_actions();
+        if let Action::Store { op, .. } = out[0] {
+            b.handle_completion(Completion::Stored { op }, Time::ZERO);
+            b.drain_actions();
         }
         let later = Time::ZERO + Dur::from_millis(150);
         let fresh = Bytes::from_static(b"fresh");
         let fresh_id = ChunkId::for_content(&fresh);
-        let out = b.handle_msg(
+        b.handle(
             NodeId(7),
             Msg::PutChunk {
                 req: RequestId(2),
@@ -1497,10 +1457,12 @@ mod tests {
             },
             later,
         );
-        if let BenefactorAction::Store { op, .. } = out[0] {
-            b.on_store_complete(op, later);
+        let out = b.drain_actions();
+        if let Action::Store { op, .. } = out[0] {
+            b.handle_completion(Completion::Stored { op }, later);
+            b.drain_actions();
         }
-        b.handle_msg(
+        b.handle(
             MANAGER_NODE,
             Msg::HeartbeatAck {
                 node: NodeId(5),
@@ -1508,7 +1470,8 @@ mod tests {
             },
             later,
         );
-        let out = b.tick(later + Dur::from_millis(10));
+        b.handle_timeout(later + Dur::from_millis(10));
+        let out = b.drain_actions();
         let report = send_msgs(&out)
             .into_iter()
             .find(|m| matches!(m, Msg::GcReport { .. }))
@@ -1525,7 +1488,7 @@ mod tests {
     #[test]
     fn stash_reoffers_until_acked() {
         let mut b = make();
-        let out = b.handle_msg(
+        b.handle(
             NodeId(7),
             Msg::StashCommit {
                 req: RequestId(1),
@@ -1535,9 +1498,11 @@ mod tests {
             },
             Time::ZERO,
         );
+        let out = b.drain_actions();
         assert!(matches!(send_msgs(&out)[0], Msg::Ack { .. }));
         assert_eq!(b.stashed_commits(), 1);
-        let out = b.tick(Time::ZERO + Dur::from_millis(150));
+        b.handle_timeout(Time::ZERO + Dur::from_millis(150));
+        let out = b.drain_actions();
         let offer_req = send_msgs(&out)
             .into_iter()
             .find_map(|m| match m {
@@ -1546,7 +1511,7 @@ mod tests {
             })
             .expect("reoffer");
         // Manager acks: stash drains.
-        b.handle_msg(MANAGER_NODE, Msg::Ack { req: offer_req }, Time::ZERO);
+        b.handle(MANAGER_NODE, Msg::Ack { req: offer_req }, Time::ZERO);
         assert_eq!(b.stashed_commits(), 0);
     }
 }

@@ -24,7 +24,8 @@
 //! arrive through [`Node::handle`] (messages), [`Node::handle_completion`]
 //! (finished driver I/O) and [`Node::handle_timeout`] (deadlines from
 //! [`Node::poll_timeout`]); outputs are drained from a shared per-node
-//! [`ActionQueue`] as the unified [`Action`] enum. Two generic drivers embed
+//! [`ActionQueue`] as the unified [`Action`] enum, the only action
+//! vocabulary any role has. Two generic drivers embed
 //! these machines unchanged: `stdchk-net` (threads + TCP + real disks) and
 //! `stdchk-sim` (a discrete-event simulator with virtual time used to
 //! reproduce the paper's evaluation).
@@ -63,15 +64,13 @@ pub mod node;
 pub mod payload;
 pub mod session;
 
-pub use benefactor::{Benefactor, BenefactorAction, BenefactorConfig};
+pub use benefactor::{Benefactor, BenefactorConfig};
 pub use config::PoolConfig;
-pub use manager::{DedupTotals, Manager, ManagerStats, Send};
+pub use manager::{DedupTotals, Manager, ManagerStats};
 pub use node::{Action, ActionQueue, Completion, Node};
 pub use payload::{ChunkAssembler, Payload};
-pub use session::read::{ReadAction, ReadSession};
-pub use session::write::{
-    OpenGrant, SessionConfig, WriteAction, WriteProtocol, WriteSession, WriteStats,
-};
+pub use session::read::ReadSession;
+pub use session::write::{OpenGrant, SessionConfig, WriteProtocol, WriteSession, WriteStats};
 
 /// The reserved node id of the metadata manager.
 ///

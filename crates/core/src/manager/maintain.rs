@@ -7,7 +7,7 @@ use stdchk_proto::msg::Msg;
 use stdchk_proto::policy::RetentionPolicy;
 use stdchk_util::Time;
 
-use super::{Manager, Send};
+use super::Manager;
 use crate::node::ActionQueue;
 
 impl Manager {
@@ -307,10 +307,7 @@ impl Manager {
             }
         }
         for (to, chunks) in per_node {
-            out.push(Send {
-                to,
-                msg: Msg::DeleteChunks { chunks },
-            });
+            out.send(to, Msg::DeleteChunks { chunks });
         }
     }
 
@@ -333,10 +330,7 @@ impl Manager {
             }
         }
         for (to, chunks) in per_node {
-            out.push(Send {
-                to,
-                msg: Msg::DeleteChunks { chunks },
-            });
+            out.send(to, Msg::DeleteChunks { chunks });
         }
     }
 
@@ -376,10 +370,7 @@ impl Manager {
             self.enqueue_replication(id);
         }
         self.stats.gc_deletable += deletable.len() as u64;
-        out.push(Send {
-            to: node,
-            msg: Msg::GcReply { req, deletable },
-        });
+        out.send(node, Msg::GcReply { req, deletable });
         // Re-learned locations may provide sources for queued repairs. The
         // report time must flow through: pumping at `Time::ZERO` would stop
         // the scheduler's token buckets from ever refilling on this path.

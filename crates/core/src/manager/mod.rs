@@ -11,8 +11,9 @@
 //! [`Node::handle_timeout`] runs time-based maintenance (heartbeat expiry,
 //! reservation expiry, retention policies, replication dispatch, GC marks)
 //! at the deadline advertised by [`Node::poll_timeout`], and outputs drain
-//! through [`Node::poll_action`]. [`Manager::handle_msg`] and
-//! [`Manager::tick`] remain as `Vec`-returning compatibility shims.
+//! through [`Node::poll_action`]: replies as [`Action::Send`] and, with
+//! the WAL on, mutation records as [`Action::MetaAppend`] queued ahead of
+//! the reply they guard.
 
 mod churn;
 mod durable;
@@ -36,25 +37,6 @@ use stdchk_util::{Dur, Time};
 
 use crate::config::PoolConfig;
 use crate::node::{earliest, Action, ActionQueue, Node};
-
-/// One outbound message produced by the manager (legacy shim vocabulary;
-/// drivers dispatch on the unified [`Action`] enum).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Send {
-    /// Destination node.
-    pub to: NodeId,
-    /// The message.
-    pub msg: Msg,
-}
-
-impl From<Send> for Action {
-    fn from(s: Send) -> Action {
-        Action::Send {
-            to: s.to,
-            msg: s.msg,
-        }
-    }
-}
 
 /// Counters exposed for harnesses (e.g. Figure 8 reports manager
 /// transaction counts).
@@ -473,23 +455,20 @@ impl Manager {
                             .map(|b| (n, b.addr.clone()))
                     })
                     .collect();
-                out.push(Send {
-                    to: from,
-                    msg: Msg::NodeAddrsReply { req, addrs },
-                });
+                out.send(from, Msg::NodeAddrsReply { req, addrs });
             }
             other => {
                 // Requests the manager does not serve get a loud error if
                 // they carry a request id, and are dropped otherwise.
                 if let Some(req) = other.request_id() {
-                    out.push(Send {
-                        to: from,
-                        msg: Msg::ErrorReply {
+                    out.send(
+                        from,
+                        Msg::ErrorReply {
                             req,
                             code: ErrorCode::BadRequest,
                             detail: format!("manager cannot serve tag {}", other.wire_tag()),
                         },
-                    });
+                    );
                 }
             }
         }
@@ -528,14 +507,14 @@ impl Manager {
             addr,
             total: total_space,
         });
-        out.push(Send {
-            to: from,
-            msg: Msg::JoinOk {
+        out.send(
+            from,
+            Msg::JoinOk {
                 req,
                 node,
                 heartbeat_every: self.cfg.heartbeat_every,
             },
-        });
+        );
         // A fresh donor may unblock queued replication (repairs, deferred
         // pessimistic commits) that had no viable target.
         self.pump_replication(now, out);
@@ -595,10 +574,7 @@ impl Manager {
             };
             self.log_meta(out, || MetaRecord::Benefactor { node, addr, total });
         }
-        out.push(Send {
-            to: node,
-            msg: Msg::HeartbeatAck { node, gc_due },
-        });
+        out.send(node, Msg::HeartbeatAck { node, gc_due });
         if was_offline {
             // A returning donor may unblock queued replication immediately
             // instead of waiting for the next maintenance sweep.
@@ -710,18 +686,15 @@ impl Manager {
         out: &mut ActionQueue,
     ) {
         match self.file_view(path, version) {
-            Ok(view) => out.push(Send {
-                to: from,
-                msg: Msg::FileViewReply { req, view },
-            }),
-            Err(code) => out.push(Send {
-                to: from,
-                msg: Msg::ErrorReply {
+            Ok(view) => out.send(from, Msg::FileViewReply { req, view }),
+            Err(code) => out.send(
+                from,
+                Msg::ErrorReply {
                     req,
                     code,
                     detail: format!("{path}: no such file or version"),
                 },
-            }),
+            ),
         }
     }
 
@@ -758,17 +731,14 @@ impl Manager {
         if let Some(file) = self.files.get(&path) {
             if !file.versions.is_empty() {
                 let attr = self.attr_of(file);
-                out.push(Send {
-                    to: from,
-                    msg: Msg::AttrReply { req, attr },
-                });
+                out.send(from, Msg::AttrReply { req, attr });
                 return;
             }
         }
         if self.is_dir(&path) {
-            out.push(Send {
-                to: from,
-                msg: Msg::AttrReply {
+            out.send(
+                from,
+                Msg::AttrReply {
                     req,
                     attr: FileAttr {
                         size: 0,
@@ -778,30 +748,30 @@ impl Manager {
                         is_dir: true,
                     },
                 },
-            });
+            );
             return;
         }
-        out.push(Send {
-            to: from,
-            msg: Msg::ErrorReply {
+        out.send(
+            from,
+            Msg::ErrorReply {
                 req,
                 code: ErrorCode::NotFound,
                 detail: format!("{path}: no such path"),
             },
-        });
+        );
     }
 
     fn on_list_dir(&mut self, from: NodeId, req: RequestId, path: &str, out: &mut ActionQueue) {
         let dir = normalize(path);
         if !self.is_dir(&dir) {
-            out.push(Send {
-                to: from,
-                msg: Msg::ErrorReply {
+            out.send(
+                from,
+                Msg::ErrorReply {
                     req,
                     code: ErrorCode::NotFound,
                     detail: format!("{dir}: not a directory"),
                 },
-            });
+            );
             return;
         }
         let prefix = if dir == "/" {
@@ -861,13 +831,13 @@ impl Manager {
                 });
             }
         }
-        out.push(Send {
-            to: from,
-            msg: Msg::DirListingReply {
+        out.send(
+            from,
+            Msg::DirListingReply {
                 req,
                 entries: entries.into_values().collect(),
             },
-        });
+        );
     }
 
     fn on_list_versions(
@@ -889,19 +859,16 @@ impl Manager {
                         mtime: v.mtime,
                     })
                     .collect();
-                out.push(Send {
-                    to: from,
-                    msg: Msg::VersionListReply { req, versions },
-                });
+                out.send(from, Msg::VersionListReply { req, versions });
             }
-            _ => out.push(Send {
-                to: from,
-                msg: Msg::ErrorReply {
+            _ => out.send(
+                from,
+                Msg::ErrorReply {
                     req,
                     code: ErrorCode::NotFound,
                     detail: format!("{path}: no such file"),
                 },
-            }),
+            ),
         }
     }
 
@@ -957,37 +924,6 @@ impl Manager {
                 );
             }
         }
-    }
-
-    // ------------------------------------------------------ legacy shims
-
-    fn take_sends(&mut self) -> Vec<Send> {
-        self.actions
-            .drain()
-            .into_iter()
-            .filter_map(|a| match a {
-                Action::Send { to, msg } => Some(Send { to, msg }),
-                // The Vec<Send> shims are driver-less; WAL records have no
-                // log to land in and are dropped (real drivers dispatch on
-                // the unified Action enum and persist them).
-                Action::MetaAppend { .. } => None,
-                other => unreachable!("manager never emits {other:?}"),
-            })
-            .collect()
-    }
-
-    /// Compatibility shim over [`Node::handle`]: processes one message and
-    /// drains the resulting sends.
-    pub fn handle_msg(&mut self, from: NodeId, msg: Msg, now: Time) -> Vec<Send> {
-        Node::handle(self, from, msg, now);
-        self.take_sends()
-    }
-
-    /// Compatibility shim over [`Node::handle_timeout`]: runs maintenance
-    /// and drains the resulting sends.
-    pub fn tick(&mut self, now: Time) -> Vec<Send> {
-        Node::handle_timeout(self, now);
-        self.take_sends()
     }
 }
 

@@ -14,7 +14,7 @@ use stdchk_proto::msg::{Msg, ReplicaCopy};
 use stdchk_util::rate::TokenBucket;
 use stdchk_util::{Dur, Time};
 
-use super::{Manager, ReplJob, ReplTask, Send};
+use super::{Manager, ReplJob, ReplTask};
 use crate::node::ActionQueue;
 
 impl Manager {
@@ -109,16 +109,16 @@ impl Manager {
                     attempts,
                 },
             );
-            out.push(Send {
-                to: source,
-                msg: Msg::ReplicateCmd {
+            out.send(
+                source,
+                Msg::ReplicateCmd {
                     job,
                     copies: copies
                         .into_iter()
                         .map(|(chunk, target)| ReplicaCopy { chunk, target })
                         .collect(),
                 },
-            });
+            );
         }
     }
 
@@ -189,16 +189,16 @@ impl Manager {
                     attempts,
                 },
             );
-            out.push(Send {
-                to: source,
-                msg: Msg::ReplicateCmd {
+            out.send(
+                source,
+                Msg::ReplicateCmd {
                     job,
                     copies: copies
                         .into_iter()
                         .map(|(chunk, target)| ReplicaCopy { chunk, target })
                         .collect(),
                 },
-            });
+            );
         }
     }
 
@@ -351,15 +351,15 @@ impl Manager {
         }
         for i in resolved.into_iter().rev() {
             let pc = self.pending_commits.remove(i);
-            out.push(Send {
-                to: pc.client,
-                msg: Msg::CommitOk {
+            out.send(
+                pc.client,
+                Msg::CommitOk {
                     req: pc.req,
                     file: pc.file,
                     version: pc.version,
                     suggested_interval: pc.suggested_interval,
                 },
-            });
+            );
         }
     }
 }

@@ -10,9 +10,30 @@ use stdchk_proto::ErrorCode;
 use stdchk_util::{Dur, Time};
 
 use crate::config::PoolConfig;
-use crate::manager::{Manager, Send};
+use crate::manager::Manager;
+use crate::node::{Action, Node};
 
 const GIB: u64 = 1 << 30;
+
+/// One reply the manager queued.
+#[derive(Debug)]
+struct Reply {
+    to: NodeId,
+    msg: Msg,
+}
+
+/// Drains the manager's actions, keeping its replies. These tests attach
+/// no log, so WAL records are dropped.
+fn sends(mgr: &mut Manager) -> Vec<Reply> {
+    mgr.drain_actions()
+        .into_iter()
+        .filter_map(|a| match a {
+            Action::Send { to, msg } => Some(Reply { to, msg }),
+            Action::MetaAppend { .. } => None,
+            other => panic!("manager never emits {other:?}"),
+        })
+        .collect()
+}
 
 struct Harness {
     mgr: Manager,
@@ -34,9 +55,10 @@ impl Harness {
         RequestId(self.next_req)
     }
 
-    fn advance(&mut self, d: Dur) -> Vec<Send> {
+    fn advance(&mut self, d: Dur) -> Vec<Reply> {
         self.now += d;
-        self.mgr.tick(self.now)
+        self.mgr.handle_timeout(self.now);
+        sends(&mut self.mgr)
     }
 
     /// Joins `n` benefactors, returning their ids.
@@ -44,7 +66,7 @@ impl Harness {
         let mut ids = Vec::new();
         for i in 0..n {
             let req = self.req();
-            let out = self.mgr.handle_msg(
+            self.mgr.handle(
                 NodeId(1000 + i as u64),
                 Msg::JoinRequest {
                     req,
@@ -53,6 +75,7 @@ impl Harness {
                 },
                 self.now,
             );
+            let out = sends(&mut self.mgr);
             match &out[0].msg {
                 Msg::JoinOk { node, .. } => ids.push(*node),
                 other => panic!("expected JoinOk, got {other:?}"),
@@ -63,7 +86,7 @@ impl Harness {
 
     fn heartbeat_all(&mut self, nodes: &[NodeId]) {
         for n in nodes {
-            self.mgr.handle_msg(
+            self.mgr.handle(
                 *n,
                 Msg::Heartbeat {
                     node: *n,
@@ -73,6 +96,7 @@ impl Harness {
                 },
                 self.now,
             );
+            sends(&mut self.mgr);
         }
     }
 
@@ -83,7 +107,7 @@ impl Harness {
         replication: u32,
     ) -> (ReservationId, Vec<NodeId>, Vec<ChunkEntry>, VersionId) {
         let req = self.req();
-        let out = self.mgr.handle_msg(
+        self.mgr.handle(
             NodeId(77),
             Msg::CreateFile {
                 req,
@@ -95,6 +119,7 @@ impl Harness {
             },
             self.now,
         );
+        let out = sends(&mut self.mgr);
         match &out[0].msg {
             Msg::CreateFileOk {
                 reservation,
@@ -114,7 +139,7 @@ impl Harness {
         entries: Vec<ChunkEntry>,
         stripe: &[NodeId],
         pessimistic: bool,
-    ) -> Vec<Send> {
+    ) -> Vec<Reply> {
         let req = self.req();
         let mut placements = Vec::new();
         let mut seen = HashSet::new();
@@ -123,7 +148,7 @@ impl Harness {
                 placements.push((e.id, vec![stripe[i % stripe.len()]]));
             }
         }
-        self.mgr.handle_msg(
+        self.mgr.handle(
             NodeId(77),
             Msg::CommitChunkMap {
                 req,
@@ -134,7 +159,8 @@ impl Harness {
                 dedup: Default::default(),
             },
             self.now,
-        )
+        );
+        sends(&mut self.mgr)
     }
 }
 
@@ -147,7 +173,7 @@ fn entries(ids: &[u64], size: u32) -> Vec<ChunkEntry> {
         .collect()
 }
 
-fn find_reply(out: &[Send], pred: impl Fn(&Msg) -> bool) -> &Msg {
+fn find_reply(out: &[Reply], pred: impl Fn(&Msg) -> bool) -> &Msg {
     out.iter()
         .map(|s| &s.msg)
         .find(|m| pred(m))
@@ -168,7 +194,7 @@ fn join_assigns_distinct_ids() {
 fn create_without_benefactors_is_no_space() {
     let mut h = Harness::new();
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::CreateFile {
             req,
@@ -180,6 +206,7 @@ fn create_without_benefactors_is_no_space() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     assert!(matches!(
         out[0].msg,
         Msg::ErrorReply {
@@ -202,7 +229,7 @@ fn commit_makes_file_visible_with_locations() {
 
     // GetFile returns the map with online locations.
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::GetFile {
             req,
@@ -211,6 +238,7 @@ fn commit_makes_file_visible_with_locations() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     match &out[0].msg {
         Msg::FileViewReply { view, .. } => {
             assert_eq!(view.map.entries(), ents.as_slice());
@@ -223,7 +251,7 @@ fn commit_makes_file_visible_with_locations() {
     }
     // Attr reflects the committed version.
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::GetAttr {
             req,
@@ -231,6 +259,7 @@ fn commit_makes_file_visible_with_locations() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     match &out[0].msg {
         Msg::AttrReply { attr, .. } => {
             assert_eq!(attr.size, 3 * 1024);
@@ -248,7 +277,7 @@ fn uncommitted_file_is_invisible() {
     h.join_benefactors(2);
     let (_res, _stripe, _prev, _v) = h.open("/a/b", 1);
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::GetAttr {
             req,
@@ -256,6 +285,7 @@ fn uncommitted_file_is_invisible() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     assert!(
         matches!(
             out[0].msg,
@@ -286,7 +316,7 @@ fn second_version_shares_chunks_and_reports_prev() {
 
     // Both versions listed.
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::ListVersions {
             req,
@@ -294,6 +324,7 @@ fn second_version_shares_chunks_and_reports_prev() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     match &out[0].msg {
         Msg::VersionListReply { versions, .. } => assert_eq!(versions.len(), 2),
         other => panic!("unexpected {other:?}"),
@@ -306,7 +337,7 @@ fn commit_without_placement_is_rejected() {
     h.join_benefactors(2);
     let (res, _stripe, _, _) = h.open("/g", 1);
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::CommitChunkMap {
             req,
@@ -318,6 +349,7 @@ fn commit_without_placement_is_rejected() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     assert!(matches!(
         out[0].msg,
         Msg::ErrorReply {
@@ -351,7 +383,7 @@ fn abort_releases_and_hides_file() {
     h.join_benefactors(2);
     let (res, _, _, _) = h.open("/i", 1);
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::AbortWrite {
             req,
@@ -359,9 +391,10 @@ fn abort_releases_and_hides_file() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     assert!(matches!(out[0].msg, Msg::Ack { .. }));
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::GetAttr {
             req,
@@ -369,6 +402,7 @@ fn abort_releases_and_hides_file() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     assert!(matches!(out[0].msg, Msg::ErrorReply { .. }));
     h.mgr.check_invariants();
 }
@@ -407,7 +441,7 @@ fn benefactor_timeout_marks_offline_and_excludes_from_reads() {
     assert_eq!(h.mgr.online_benefactors(), 2);
     // Locations in reads exclude the dead node.
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::GetFile {
             req,
@@ -416,6 +450,7 @@ fn benefactor_timeout_marks_offline_and_excludes_from_reads() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     match &out[0].msg {
         Msg::FileViewReply { view, .. } => {
             for (_, locs) in &view.locations {
@@ -434,7 +469,7 @@ fn death_triggers_re_replication_of_survivor_copies() {
     // Place both chunks on node[0] only; target replication 2.
     let ents = entries(&[1, 2], 100);
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::CommitChunkMap {
             req,
@@ -449,6 +484,7 @@ fn death_triggers_re_replication_of_survivor_copies() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     // Optimistic commit: CommitOk plus replication command(s) to node[0].
     find_reply(&out, |m| matches!(m, Msg::CommitOk { .. }));
     let cmd = find_reply(&out, |m| matches!(m, Msg::ReplicateCmd { .. }));
@@ -469,7 +505,7 @@ fn pessimistic_commit_waits_for_replication() {
     let nodes = h.join_benefactors(3);
     let (res, _stripe, _, _) = h.open("/m", 2);
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::CommitChunkMap {
             req,
@@ -481,6 +517,7 @@ fn pessimistic_commit_waits_for_replication() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     assert!(
         !out.iter().any(|s| matches!(s.msg, Msg::CommitOk { .. })),
         "pessimistic commit must defer CommitOk: {out:?}"
@@ -493,7 +530,7 @@ fn pessimistic_commit_waits_for_replication() {
         })
         .expect("replication command");
     // Source benefactor reports the copy done.
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         nodes[0],
         Msg::ReplicateReport {
             job,
@@ -506,6 +543,7 @@ fn pessimistic_commit_waits_for_replication() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     find_reply(&out, |m| matches!(m, Msg::CommitOk { .. }));
     h.mgr.check_invariants();
 }
@@ -516,7 +554,7 @@ fn failed_replication_retries_with_budget() {
     let nodes = h.join_benefactors(3);
     let (res, _stripe, _, _) = h.open("/n", 2);
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::CommitChunkMap {
             req,
@@ -528,6 +566,7 @@ fn failed_replication_retries_with_budget() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     let (job, target) = out
         .iter()
         .find_map(|s| match &s.msg {
@@ -536,7 +575,7 @@ fn failed_replication_retries_with_budget() {
         })
         .expect("replication command");
     // Report failure; the manager must re-dispatch.
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         nodes[0],
         Msg::ReplicateReport {
             job,
@@ -549,6 +588,7 @@ fn failed_replication_retries_with_budget() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     find_reply(&out, |m| matches!(m, Msg::ReplicateCmd { .. }));
 }
 
@@ -558,7 +598,7 @@ fn gc_report_classifies_orphans_and_relearns_locations() {
     let nodes = h.join_benefactors(2);
     let (res, _stripe, _, _) = h.open("/o", 1);
     let req0 = h.req();
-    h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::CommitChunkMap {
             req: req0,
@@ -570,9 +610,10 @@ fn gc_report_classifies_orphans_and_relearns_locations() {
         },
         h.now,
     );
+    sends(&mut h.mgr);
     // nodes[1] reports: one live chunk (location relearned), one orphan.
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         nodes[1],
         Msg::GcReport {
             req,
@@ -581,6 +622,7 @@ fn gc_report_classifies_orphans_and_relearns_locations() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     match &out[0].msg {
         Msg::GcReply { deletable, .. } => {
             assert_eq!(deletable, &vec![ChunkId::test_id(99)]);
@@ -589,7 +631,7 @@ fn gc_report_classifies_orphans_and_relearns_locations() {
     }
     // The live chunk now lists nodes[1] as a replica holder.
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::GetFile {
             req,
@@ -598,6 +640,7 @@ fn gc_report_classifies_orphans_and_relearns_locations() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     match &out[0].msg {
         Msg::FileViewReply { view, .. } => {
             let locs = view.locations_of(ChunkId::test_id(1)).expect("chunk");
@@ -612,7 +655,7 @@ fn automated_replace_prunes_on_commit() {
     let mut h = Harness::new();
     let nodes = h.join_benefactors(2);
     let req = h.req();
-    h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::SetPolicy {
             req,
@@ -622,6 +665,7 @@ fn automated_replace_prunes_on_commit() {
         },
         h.now,
     );
+    sends(&mut h.mgr);
     let (res1, stripe, _, _) = h.open("/app/ck", 1);
     h.commit(res1, entries(&[1], 100), &stripe, false);
     let (res2, stripe2, _, _) = h.open("/app/ck", 1);
@@ -633,7 +677,7 @@ fn automated_replace_prunes_on_commit() {
         _ => unreachable!(),
     }
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::ListVersions {
             req,
@@ -641,6 +685,7 @@ fn automated_replace_prunes_on_commit() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     match &out[0].msg {
         Msg::VersionListReply { versions, .. } => assert_eq!(versions.len(), 1),
         other => panic!("unexpected {other:?}"),
@@ -654,7 +699,7 @@ fn automated_purge_drops_old_versions_via_tick() {
     let mut h = Harness::new();
     let nodes = h.join_benefactors(2);
     let req = h.req();
-    h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::SetPolicy {
             req,
@@ -666,6 +711,7 @@ fn automated_purge_drops_old_versions_via_tick() {
         },
         h.now,
     );
+    sends(&mut h.mgr);
     let (res, stripe, _, _) = h.open("/tmpckpt/x", 1);
     h.commit(res, entries(&[1], 10), &stripe, false);
     // Keep benefactors alive while the purge window elapses.
@@ -681,7 +727,7 @@ fn automated_purge_drops_old_versions_via_tick() {
         "purge should delete chunks: {all_out:?}"
     );
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::GetAttr {
             req,
@@ -689,6 +735,7 @@ fn automated_purge_drops_old_versions_via_tick() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     assert!(matches!(out[0].msg, Msg::ErrorReply { .. }));
     h.mgr.check_invariants();
 }
@@ -700,7 +747,7 @@ fn delete_file_orphans_chunks() {
     let (res, stripe, _, _) = h.open("/del", 1);
     h.commit(res, entries(&[1, 2], 10), &stripe, false);
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::DeleteFile {
             req,
@@ -708,6 +755,7 @@ fn delete_file_orphans_chunks() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     assert!(out
         .iter()
         .any(|s| matches!(s.msg, Msg::DeleteChunks { .. })));
@@ -724,7 +772,7 @@ fn list_dir_shows_files_and_subdirs() {
         h.commit(res, entries(&[1], 10), &stripe, false);
     }
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::ListDir {
             req,
@@ -732,6 +780,7 @@ fn list_dir_shows_files_and_subdirs() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     match &out[0].msg {
         Msg::DirListingReply { entries, .. } => {
             let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
@@ -754,7 +803,7 @@ fn reoffer_needs_two_thirds_concurrence() {
     ];
     // First offer: below threshold (need ceil(2/3·3)=2): silence.
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         nodes[0],
         Msg::ReofferCommit {
             req,
@@ -765,13 +814,14 @@ fn reoffer_needs_two_thirds_concurrence() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     assert!(
         out.is_empty(),
         "one offer of three must not commit: {out:?}"
     );
     // Second agreeing offer: accepted.
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         nodes[1],
         Msg::ReofferCommit {
             req,
@@ -782,11 +832,12 @@ fn reoffer_needs_two_thirds_concurrence() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     assert!(matches!(out[0].msg, Msg::Ack { .. }));
     assert_eq!(h.mgr.stats().recovered_commits, 1);
     // The file is now readable.
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::GetFile {
             req,
@@ -795,10 +846,11 @@ fn reoffer_needs_two_thirds_concurrence() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     assert!(matches!(out[0].msg, Msg::FileViewReply { .. }));
     // A third (late) offer is acked as stale.
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         nodes[2],
         Msg::ReofferCommit {
             req,
@@ -809,6 +861,7 @@ fn reoffer_needs_two_thirds_concurrence() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     assert!(matches!(out[0].msg, Msg::Ack { .. }));
     h.mgr.check_invariants();
 }
@@ -825,7 +878,7 @@ fn stripe_selection_rotates_across_requests() {
 #[test]
 fn heartbeat_from_unknown_node_registers_it() {
     let mut h = Harness::new();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(42),
         Msg::Heartbeat {
             node: NodeId(42),
@@ -835,6 +888,7 @@ fn heartbeat_from_unknown_node_registers_it() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     assert!(matches!(out[0].msg, Msg::HeartbeatAck { .. }));
     assert_eq!(h.mgr.online_benefactors(), 1);
     // Subsequent joins must not collide with the adopted id.
@@ -855,7 +909,7 @@ fn gc_mark_sets_due_flag_delivered_in_heartbeat_ack() {
         h.advance(step);
         elapsed += step;
     }
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         nodes[0],
         Msg::Heartbeat {
             node: nodes[0],
@@ -865,6 +919,7 @@ fn gc_mark_sets_due_flag_delivered_in_heartbeat_ack() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     match &out[0].msg {
         Msg::HeartbeatAck { gc_due, .. } => assert!(*gc_due),
         other => panic!("unexpected {other:?}"),
@@ -876,7 +931,6 @@ fn gc_mark_sets_due_flag_delivered_in_heartbeat_ack() {
 use stdchk_proto::meta::MetaRecord;
 
 use crate::manager::{ChunkMeta, ReplTask};
-use crate::node::{Action, Node};
 
 impl Harness {
     fn with_config(cfg: PoolConfig) -> Harness {
@@ -903,7 +957,7 @@ fn throttled_cfg() -> PoolConfig {
     }
 }
 
-fn total_copies(out: &[Send]) -> usize {
+fn total_copies(out: &[Reply]) -> usize {
     out.iter()
         .map(|s| match &s.msg {
             Msg::ReplicateCmd { copies, .. } => copies.len(),
@@ -914,10 +968,10 @@ fn total_copies(out: &[Send]) -> usize {
 
 /// Commits two 1 KiB chunks placed on `nodes[0]` only, under replication 2,
 /// so both need one repair copy each.
-fn commit_two_underreplicated(h: &mut Harness, nodes: &[NodeId]) -> Vec<Send> {
+fn commit_two_underreplicated(h: &mut Harness, nodes: &[NodeId]) -> Vec<Reply> {
     let (res, _stripe, _, _) = h.open("/r", 2);
     let req = h.req();
-    h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::CommitChunkMap {
             req,
@@ -931,7 +985,8 @@ fn commit_two_underreplicated(h: &mut Harness, nodes: &[NodeId]) -> Vec<Send> {
             dedup: Default::default(),
         },
         h.now,
-    )
+    );
+    sends(&mut h.mgr)
 }
 
 #[test]
@@ -949,7 +1004,7 @@ fn gc_report_pumps_repair_at_report_time() {
     // and GC reports could not un-throttle repair.)
     h.now += Dur::from_secs(2);
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         nodes[0],
         Msg::GcReport {
             req,
@@ -958,6 +1013,7 @@ fn gc_report_pumps_repair_at_report_time() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     assert_eq!(
         total_copies(&out),
         1,
@@ -1055,7 +1111,7 @@ fn expired_source_requeues_inflight_repair_to_survivor() {
     let nodes = h.join_benefactors(3);
     let (res, _stripe, _, _) = h.open("/d", 3);
     let req = h.req();
-    let out = h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::CommitChunkMap {
             req,
@@ -1067,6 +1123,7 @@ fn expired_source_requeues_inflight_repair_to_survivor() {
         },
         h.now,
     );
+    let out = sends(&mut h.mgr);
     // Target 3, two replicas: a copy job is in flight from nodes[0].
     let src = out
         .iter()
@@ -1099,7 +1156,8 @@ fn adaptive_targets_rise_under_churn_and_fall_when_calm() {
     // Calm fleet: the sweep keeps the minimal target.
     h.now += Dur::from_millis(200);
     h.heartbeat_all(&nodes);
-    h.mgr.tick(h.now);
+    h.mgr.handle_timeout(h.now);
+    sends(&mut h.mgr);
     assert_eq!(h.mgr.chunks[&ChunkId::test_id(1)].target, 1);
     // Three of four nodes churn out and stay gone: availability collapses
     // and the sweep raises the target to the ceiling.
@@ -1111,7 +1169,8 @@ fn adaptive_targets_rise_under_churn_and_fall_when_calm() {
     for _ in 0..10 {
         h.now += Dur::from_millis(200);
         h.heartbeat_all(&[holder]);
-        h.mgr.tick(h.now);
+        h.mgr.handle_timeout(h.now);
+        sends(&mut h.mgr);
     }
     assert_eq!(h.mgr.chunks[&ChunkId::test_id(1)].target, 3);
     // With only the holder online there is no capacity to repair into;
@@ -1123,7 +1182,7 @@ fn adaptive_targets_rise_under_churn_and_fall_when_calm() {
     let mut h = Harness::with_config(cfg);
     let nodes = h.join_benefactors(4);
     let req = h.req();
-    h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::SetPolicy {
             req,
@@ -1133,9 +1192,10 @@ fn adaptive_targets_rise_under_churn_and_fall_when_calm() {
         },
         h.now,
     );
+    sends(&mut h.mgr);
     let (res, _stripe, _, _) = h.open("/ckpt/a", 3);
     let req = h.req();
-    h.mgr.handle_msg(
+    h.mgr.handle(
         NodeId(77),
         Msg::CommitChunkMap {
             req,
@@ -1147,6 +1207,7 @@ fn adaptive_targets_rise_under_churn_and_fall_when_calm() {
         },
         h.now,
     );
+    sends(&mut h.mgr);
     assert_eq!(h.mgr.chunks[&ChunkId::test_id(1)].target, 3);
     h.mgr.adapt_replication_targets(Time::from_secs(1));
     // Fully-available fleet would settle at 1 replica, but the directory

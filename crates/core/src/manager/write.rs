@@ -13,7 +13,7 @@ use stdchk_proto::ErrorCode;
 use stdchk_util::Time;
 
 use super::{
-    normalize, parent, ChunkMeta, FileState, Manager, PendingCommit, Reoffer, Reservation, Send,
+    normalize, parent, ChunkMeta, FileState, Manager, PendingCommit, Reoffer, Reservation,
     VersionRecord,
 };
 use crate::node::ActionQueue;
@@ -110,14 +110,14 @@ impl Manager {
         };
         let stripe = self.select_stripe(width, &HashSet::new());
         if stripe.is_empty() {
-            out.push(Send {
-                to: client,
-                msg: Msg::ErrorReply {
+            out.send(
+                client,
+                Msg::ErrorReply {
                     req,
                     code: ErrorCode::NoSpace,
                     detail: "no online benefactor has spare capacity".to_string(),
                 },
-            });
+            );
             return;
         }
         // File entry exists from the first open; it stays invisible until a
@@ -161,9 +161,9 @@ impl Manager {
             expected_chunks.max(1) as u64,
         );
         self.reservations.insert(reservation_id, reservation);
-        out.push(Send {
-            to: client,
-            msg: Msg::CreateFileOk {
+        out.send(
+            client,
+            Msg::CreateFileOk {
                 req,
                 file: file_id,
                 version,
@@ -172,7 +172,7 @@ impl Manager {
                 prev_chunks,
                 chunk_size: self.cfg.chunk_size,
             },
-        });
+        );
     }
 
     pub(super) fn on_extend(
@@ -185,14 +185,14 @@ impl Manager {
         out: &mut ActionQueue,
     ) {
         let Some(mut res) = self.reservations.remove(&id) else {
-            out.push(Send {
-                to: from,
-                msg: Msg::ErrorReply {
+            out.send(
+                from,
+                Msg::ErrorReply {
                     req,
                     code: ErrorCode::Conflict,
                     detail: format!("unknown or expired reservation {id}"),
                 },
-            });
+            );
             return;
         };
         // Refresh the stripe: drop members that went offline, backfill.
@@ -206,14 +206,14 @@ impl Manager {
         }
         if res.stripe.is_empty() {
             self.release_reservation(&res);
-            out.push(Send {
-                to: from,
-                msg: Msg::ErrorReply {
+            out.send(
+                from,
+                Msg::ErrorReply {
                     req,
                     code: ErrorCode::NoSpace,
                     detail: "no online benefactors left for this stripe".to_string(),
                 },
-            });
+            );
             return;
         }
         Manager::reserve_on(
@@ -225,10 +225,7 @@ impl Manager {
         res.expires = now + self.cfg.reservation_ttl;
         let stripe = res.stripe.clone();
         self.reservations.insert(id, res);
-        out.push(Send {
-            to: from,
-            msg: Msg::ExtendOk { req, stripe },
-        });
+        out.send(from, Msg::ExtendOk { req, stripe });
     }
 
     /// Answers a have/want negotiation round (paper §IV.C moved onto the
@@ -245,14 +242,14 @@ impl Manager {
         out: &mut ActionQueue,
     ) {
         if !self.reservations.contains_key(&reservation) {
-            out.push(Send {
-                to: from,
-                msg: Msg::ErrorReply {
+            out.send(
+                from,
+                Msg::ErrorReply {
                     req,
                     code: ErrorCode::Conflict,
                     detail: format!("unknown or expired reservation {reservation}"),
                 },
-            });
+            );
             return;
         }
         let mut wanted = Vec::new();
@@ -284,10 +281,7 @@ impl Manager {
             .expect("checked above")
             .pinned
             .extend(pinned);
-        out.push(Send {
-            to: from,
-            msg: Msg::WantChunks { req, wanted },
-        });
+        out.send(from, Msg::WantChunks { req, wanted });
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -304,14 +298,14 @@ impl Manager {
         out: &mut ActionQueue,
     ) {
         let Some(res) = self.reservations.remove(&reservation) else {
-            out.push(Send {
-                to: from,
-                msg: Msg::ErrorReply {
+            out.send(
+                from,
+                Msg::ErrorReply {
                     req,
                     code: ErrorCode::Conflict,
                     detail: format!("unknown or expired reservation {reservation}"),
                 },
-            });
+            );
             return;
         };
         self.release_reservation(&res);
@@ -335,14 +329,14 @@ impl Manager {
                 // The reservation is spent either way: release its pins
                 // before bouncing the commit.
                 self.unpin_reservation(&res, out);
-                out.push(Send {
-                    to: from,
-                    msg: Msg::ErrorReply {
+                out.send(
+                    from,
+                    Msg::ErrorReply {
                         req,
                         code: ErrorCode::BadRequest,
                         detail: format!("chunk {id} committed without any placement"),
                     },
-                });
+                );
                 return;
             }
         }
@@ -436,15 +430,15 @@ impl Manager {
                 suggested_interval,
             });
         } else {
-            out.push(Send {
-                to: from,
-                msg: Msg::CommitOk {
+            out.send(
+                from,
+                Msg::CommitOk {
                     req,
                     file: file_id,
                     version,
                     suggested_interval,
                 },
-            });
+            );
         }
         self.pump_replication(now, out);
     }
@@ -462,10 +456,7 @@ impl Manager {
             self.drop_file_if_empty(&res.path);
         }
         // Abort is idempotent: an expired reservation still acks.
-        out.push(Send {
-            to: from,
-            msg: Msg::Ack { req },
-        });
+        out.send(from, Msg::Ack { req });
     }
 
     pub(super) fn on_delete_file(
@@ -481,19 +472,16 @@ impl Manager {
                 self.prune_versions(&path, 0, out);
                 self.files.remove(&path);
                 self.log_meta(out, || MetaRecord::Delete { path: path.clone() });
-                out.push(Send {
-                    to: from,
-                    msg: Msg::Ack { req },
-                });
+                out.send(from, Msg::Ack { req });
             }
-            _ => out.push(Send {
-                to: from,
-                msg: Msg::ErrorReply {
+            _ => out.send(
+                from,
+                Msg::ErrorReply {
                     req,
                     code: ErrorCode::NotFound,
                     detail: format!("{path}: no such file"),
                 },
-            }),
+            ),
         }
     }
 
@@ -522,10 +510,7 @@ impl Manager {
             policy,
             repl_bounds,
         });
-        out.push(Send {
-            to: from,
-            msg: Msg::Ack { req },
-        });
+        out.send(from, Msg::Ack { req });
     }
 
     /// The retention policy applying to `path`: the policy of its nearest
@@ -597,10 +582,7 @@ impl Manager {
                 .iter()
                 .any(|v| v.map.entries() == entries.as_slice())
             {
-                out.push(Send {
-                    to: node,
-                    msg: Msg::Ack { req },
-                });
+                out.send(node, Msg::Ack { req });
                 return;
             }
         }
@@ -650,9 +632,6 @@ impl Manager {
             placements,
             replication: 1,
         });
-        out.push(Send {
-            to: node,
-            msg: Msg::Ack { req },
-        });
+        out.send(node, Msg::Ack { req });
     }
 }

@@ -11,14 +11,16 @@
 //!   [`Node::handle_timeout`] (the deadline from [`Node::poll_timeout`]
 //!   arrived);
 //! - **outputs** are drained through [`Node::poll_action`], which yields
-//!   [`Action`]s until the machine has nothing more to request.
+//!   [`Action`]s until the machine has nothing more to request
+//!   ([`Node::drain_actions`] collects them all at once).
 //!
 //! Internally each machine pushes into a shared [`ActionQueue`] instead of
 //! allocating a fresh `Vec` per call, so a driver can batch: feed several
 //! inputs, then drain every resulting action in one sweep. Because the
-//! vocabulary is one shared [`Action`] enum, drivers are generic — the same
-//! event loop runs a metadata manager, a storage donor, or a client session
-//! (`stdchk-net`'s `NodeHost`, `stdchk-sim`'s cluster dispatch).
+//! vocabulary is one shared [`Action`] enum — no role has an action type
+//! of its own — drivers are generic: the same event loop runs a metadata
+//! manager, a storage donor, or a client session (`stdchk-net`'s
+//! `NodeHost`, `stdchk-sim`'s cluster dispatch).
 //!
 //! # Driving a node
 //!
@@ -200,10 +202,9 @@ impl ActionQueue {
         ActionQueue::default()
     }
 
-    /// Enqueues an action. Accepts the unified [`Action`] or any legacy
-    /// per-role action type with an `Into<Action>` conversion.
-    pub fn push(&mut self, action: impl Into<Action>) {
-        self.q.push_back(action.into());
+    /// Enqueues an action.
+    pub fn push(&mut self, action: Action) {
+        self.q.push_back(action);
     }
 
     /// Enqueues a [`Action::Send`].
@@ -224,11 +225,6 @@ impl ActionQueue {
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.q.is_empty()
-    }
-
-    /// Drains everything into a `Vec` (compatibility shims and tests).
-    pub fn drain(&mut self) -> Vec<Action> {
-        self.q.drain(..).collect()
     }
 }
 
@@ -256,6 +252,13 @@ pub trait Node {
     /// Returns the next action to execute, or `None` when drained. Drivers
     /// should loop until `None` after every input.
     fn poll_action(&mut self) -> Option<Action>;
+
+    /// Polls every pending action into a `Vec`, for callers that inspect a
+    /// whole burst at once (tests, set-up code) rather than executing
+    /// actions as they come.
+    fn drain_actions(&mut self) -> Vec<Action> {
+        std::iter::from_fn(|| self.poll_action()).collect()
+    }
 
     /// When [`Node::handle_timeout`] next wants to run, if ever. Recompute
     /// after every input — handling a message may arm or disarm timers.

@@ -20,35 +20,6 @@ use super::ReqGen;
 use crate::node::{Action, ActionQueue, Completion, Node};
 use crate::payload::Payload;
 
-/// Legacy read-session action vocabulary, kept as a compatibility shim for
-/// tests. Drivers dispatch on the unified [`Action`] enum.
-#[derive(Clone, Debug)]
-pub enum ReadAction {
-    /// Send a protocol message.
-    Send {
-        /// Destination benefactor.
-        to: NodeId,
-        /// The message (always `GetChunk`).
-        msg: Msg,
-    },
-}
-
-impl From<ReadAction> for Action {
-    fn from(a: ReadAction) -> Action {
-        let ReadAction::Send { to, msg } = a;
-        Action::Send { to, msg }
-    }
-}
-
-impl From<Action> for ReadAction {
-    fn from(a: Action) -> ReadAction {
-        match a {
-            Action::Send { to, msg } => ReadAction::Send { to, msg },
-            other => unreachable!("read session never emits {other:?}"),
-        }
-    }
-}
-
 #[derive(Clone, Debug)]
 struct InFlight {
     slot: usize,
@@ -165,10 +136,7 @@ impl ReadSession {
         let target = holders[(slot + attempt as usize) % holders.len()];
         let req = self.reqs.next();
         self.inflight.insert(req, InFlight { slot });
-        out.push(ReadAction::Send {
-            to: target,
-            msg: Msg::GetChunk { req, chunk },
-        });
+        out.send(target, Msg::GetChunk { req, chunk });
     }
 
     fn process_msg(&mut self, msg: Msg, out: &mut ActionQueue) {
@@ -220,38 +188,6 @@ impl ReadSession {
             self.issue(inf.slot, out);
         }
         self.fill_window(out);
-    }
-
-    // ------------------------------------------------------ legacy shims
-
-    /// Drains pending actions into the legacy `Vec` form (tests).
-    pub fn take_actions(&mut self) -> Vec<ReadAction> {
-        self.actions
-            .drain()
-            .into_iter()
-            .map(ReadAction::from)
-            .collect()
-    }
-
-    /// Compatibility shim: fills the read-ahead window and drains the
-    /// resulting fetches.
-    pub fn poll(&mut self, _now: Time) -> Vec<ReadAction> {
-        let mut out = std::mem::take(&mut self.actions);
-        self.fill_window(&mut out);
-        self.actions = out;
-        self.take_actions()
-    }
-
-    /// Compatibility shim over [`Node::handle`].
-    pub fn on_msg(&mut self, msg: Msg, now: Time) -> Vec<ReadAction> {
-        Node::handle(self, NodeId(0), msg, now);
-        self.take_actions()
-    }
-
-    /// Compatibility shim over [`Completion::SendFailed`].
-    pub fn on_get_failed(&mut self, req: RequestId, now: Time) -> Vec<ReadAction> {
-        self.handle_completion(Completion::SendFailed { req }, now);
-        self.take_actions()
     }
 
     /// Delivers the next in-order chunk to the application, if ready.
@@ -327,11 +263,14 @@ mod tests {
         }
     }
 
-    fn reply_for(actions: &[ReadAction], data_for: impl Fn(ChunkId) -> Bytes) -> Vec<Msg> {
+    fn reply_for(actions: &[Action], data_for: impl Fn(ChunkId) -> Bytes) -> Vec<Msg> {
         actions
             .iter()
-            .map(|ReadAction::Send { msg, .. }| match msg {
-                Msg::GetChunk { req, chunk } => Msg::GetChunkOk {
+            .map(|a| match a {
+                Action::Send {
+                    msg: Msg::GetChunk { req, chunk },
+                    ..
+                } => Msg::GetChunkOk {
                     req: *req,
                     chunk: *chunk,
                     size: data_for(*chunk).len() as u32,
@@ -346,7 +285,7 @@ mod tests {
     fn delivers_in_order_despite_out_of_order_replies() {
         let v = view(&[b"aaaa", b"bbbb", b"cc"], &[&[1], &[2], &[1]]);
         let mut rs = ReadSession::new(1, v, 8, true);
-        let actions = rs.poll(Time::ZERO);
+        let actions = rs.drain_actions();
         assert_eq!(actions.len(), 3);
         let mut replies = reply_for(&actions, |c| {
             for d in [&b"aaaa"[..], b"bbbb", b"cc"] {
@@ -359,7 +298,7 @@ mod tests {
         // Deliver replies in reverse.
         replies.reverse();
         for r in replies {
-            rs.on_msg(r, Time::ZERO);
+            rs.handle(NodeId(1), r, Time::ZERO);
         }
         let mut got = Vec::new();
         while let Some((_, p)) = rs.next_ready() {
@@ -376,7 +315,7 @@ mod tests {
             &[&[1], &[1], &[1], &[1], &[1]],
         );
         let mut rs = ReadSession::new(1, v, 2, true);
-        let actions = rs.poll(Time::ZERO);
+        let actions = rs.drain_actions();
         assert_eq!(actions.len(), 2, "read-ahead window respected");
     }
 
@@ -384,16 +323,17 @@ mod tests {
     fn corrupt_reply_retries_other_replica() {
         let v = view(&[b"data"], &[&[1, 2]]);
         let mut rs = ReadSession::new(1, v, 4, true);
-        let actions = rs.poll(Time::ZERO);
+        let actions = rs.drain_actions();
         let (req, chunk) = match &actions[0] {
-            ReadAction::Send {
+            Action::Send {
                 msg: Msg::GetChunk { req, chunk },
                 ..
             } => (*req, *chunk),
             other => panic!("unexpected {other:?}"),
         };
         // First replica returns tampered bytes.
-        let retry = rs.on_msg(
+        rs.handle(
+            NodeId(1),
             Msg::GetChunkOk {
                 req,
                 chunk,
@@ -402,8 +342,9 @@ mod tests {
             },
             Time::ZERO,
         );
+        let retry = rs.drain_actions();
         assert_eq!(retry.len(), 1, "must retry on the other replica");
-        let ReadAction::Send {
+        let Action::Send {
             to,
             msg: Msg::GetChunk { req: req2, .. },
         } = &retry[0]
@@ -411,7 +352,8 @@ mod tests {
             panic!("unexpected {retry:?}");
         };
         assert_eq!(*to, NodeId(2));
-        let ok = rs.on_msg(
+        rs.handle(
+            NodeId(1),
             Msg::GetChunkOk {
                 req: *req2,
                 chunk,
@@ -420,6 +362,7 @@ mod tests {
             },
             Time::ZERO,
         );
+        let ok = rs.drain_actions();
         assert!(ok.is_empty());
         let (_, p) = rs.next_ready().expect("delivered");
         assert_eq!(&p.bytes()[..], b"data");
@@ -430,15 +373,16 @@ mod tests {
     fn exhausted_replicas_fail_the_read() {
         let v = view(&[b"x"], &[&[1]]);
         let mut rs = ReadSession::new(1, v, 4, true);
-        let actions = rs.poll(Time::ZERO);
-        let ReadAction::Send {
+        let actions = rs.drain_actions();
+        let Action::Send {
             msg: Msg::GetChunk { req, .. },
             ..
         } = &actions[0]
         else {
             panic!();
         };
-        rs.on_msg(
+        rs.handle(
+            NodeId(1),
             Msg::ErrorReply {
                 req: *req,
                 code: ErrorCode::NotFound,
@@ -454,7 +398,7 @@ mod tests {
         let mut v = view(&[b"x"], &[&[1]]);
         v.locations.clear();
         let mut rs = ReadSession::new(1, v, 4, true);
-        rs.poll(Time::ZERO);
+        rs.drain_actions();
         assert!(matches!(rs.state(), ReadState::Failed(_)));
     }
 
@@ -463,22 +407,23 @@ mod tests {
         let v = FileVersionView::default();
         let mut rs = ReadSession::new(1, v, 4, true);
         assert!(rs.is_done());
-        assert!(rs.poll(Time::ZERO).is_empty());
+        assert!(rs.drain_actions().is_empty());
     }
 
     #[test]
     fn virtual_replies_check_size_only() {
         let v = view(&[b"abcd"], &[&[1]]);
         let mut rs = ReadSession::new(1, v, 4, false);
-        let actions = rs.poll(Time::ZERO);
-        let ReadAction::Send {
+        let actions = rs.drain_actions();
+        let Action::Send {
             msg: Msg::GetChunk { req, chunk },
             ..
         } = &actions[0]
         else {
             panic!();
         };
-        rs.on_msg(
+        rs.handle(
+            NodeId(1),
             Msg::GetChunkOk {
                 req: *req,
                 chunk: *chunk,

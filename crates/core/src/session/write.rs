@@ -121,84 +121,6 @@ pub struct OpenGrant {
     pub reserved_chunks: u64,
 }
 
-/// Legacy write-session action vocabulary, kept as a compatibility shim
-/// for tests. Drivers dispatch on the unified [`Action`] enum.
-#[derive(Clone, Debug)]
-pub enum WriteAction {
-    /// Send a protocol message (chunk puts to benefactors; extend, commit,
-    /// abort to the manager; stashes to benefactors).
-    Send {
-        /// Destination.
-        to: NodeId,
-        /// The message.
-        msg: Msg,
-    },
-    /// Append chunk bytes to the local stage (CLW/IW temp storage). The
-    /// driver persists and calls [`WriteSession::on_stage_append_done`].
-    StageAppend {
-        /// Completion token.
-        op: u64,
-        /// Stage offset (equals the chunk's file offset).
-        offset: u64,
-        /// The data.
-        payload: Payload,
-    },
-    /// Read staged bytes back for pushing. The driver answers with
-    /// [`WriteSession::on_stage_fetch`].
-    StageFetch {
-        /// Completion token.
-        op: u64,
-        /// Stage offset.
-        offset: u64,
-        /// Length.
-        len: u32,
-    },
-    /// The stage below this offset is no longer needed (temp deletion).
-    StageDiscard {
-        /// All staged bytes before this offset may be dropped.
-        upto: u64,
-    },
-}
-
-impl From<WriteAction> for Action {
-    fn from(a: WriteAction) -> Action {
-        match a {
-            WriteAction::Send { to, msg } => Action::Send { to, msg },
-            WriteAction::StageAppend {
-                op,
-                offset,
-                payload,
-            } => Action::StageAppend {
-                op,
-                offset,
-                payload,
-            },
-            WriteAction::StageFetch { op, offset, len } => Action::StageFetch { op, offset, len },
-            WriteAction::StageDiscard { upto } => Action::StageDiscard { upto },
-        }
-    }
-}
-
-impl From<Action> for WriteAction {
-    fn from(a: Action) -> WriteAction {
-        match a {
-            Action::Send { to, msg } => WriteAction::Send { to, msg },
-            Action::StageAppend {
-                op,
-                offset,
-                payload,
-            } => WriteAction::StageAppend {
-                op,
-                offset,
-                payload,
-            },
-            Action::StageFetch { op, offset, len } => WriteAction::StageFetch { op, offset, len },
-            Action::StageDiscard { upto } => WriteAction::StageDiscard { upto },
-            other => unreachable!("write session never emits {other:?}"),
-        }
-    }
-}
-
 /// Lifecycle of a write session.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SessionState {
@@ -633,7 +555,7 @@ impl WriteSession {
                 self.stage_tail += chunk.entry.size as u64;
                 self.stage_inflight += chunk.entry.size as u64;
                 self.stage_ops.insert(op, chunk.entry.size as u64);
-                out.push(WriteAction::StageAppend {
+                out.push(Action::StageAppend {
                     op,
                     offset,
                     payload: chunk.payload,
@@ -672,14 +594,14 @@ impl WriteSession {
         let entries = std::mem::take(&mut self.offer_pending);
         let req = self.reqs.next();
         self.pending_offers.insert(req, entries.clone());
-        out.push(WriteAction::Send {
-            to: MANAGER_NODE,
-            msg: Msg::OfferChunks {
+        out.send(
+            MANAGER_NODE,
+            Msg::OfferChunks {
                 req,
                 reservation: self.grant.reservation,
                 entries,
             },
-        });
+        );
     }
 
     /// Applies a `Reused` verdict: the pool already stores the chunk, so it
@@ -733,14 +655,14 @@ impl WriteSession {
             let req = self.reqs.next();
             self.extend_pending = Some(req);
             let additional = (self.queued_puts.len() as u64 + self.staged.len() as u64).max(8);
-            out.push(WriteAction::Send {
-                to: MANAGER_NODE,
-                msg: Msg::ExtendReservation {
+            out.send(
+                MANAGER_NODE,
+                Msg::ExtendReservation {
                     req,
                     reservation: self.grant.reservation,
                     additional_chunks: additional as u32,
                 },
-            });
+            );
         }
         // Direct queue (SW).
         while !self.queued_puts.is_empty()
@@ -782,7 +704,7 @@ impl WriteSession {
                 }
                 let c = self.staged.pop_front().expect("non-empty");
                 let op = self.op();
-                out.push(WriteAction::StageFetch {
+                out.push(Action::StageFetch {
                     op,
                     offset: c.offset,
                     len: c.entry.size,
@@ -887,7 +809,7 @@ impl WriteSession {
                 wire_cost,
             },
         );
-        out.push(WriteAction::Send { to: target, msg });
+        out.send(target, msg);
     }
 
     // ------------------------------------------------------------ callbacks
@@ -913,16 +835,16 @@ impl WriteSession {
         let target = self.stripe[self.rr % self.stripe.len()];
         self.rr += 1;
         let new_req = self.reqs.next();
-        out.push(WriteAction::Send {
-            to: target,
-            msg: Msg::PutChunk {
+        out.send(
+            target,
+            Msg::PutChunk {
                 req: new_req,
                 chunk: p.chunk,
                 size: p.size,
                 data: p.payload.bytes(),
                 background: false,
             },
-        });
+        );
         self.pending_puts.insert(
             new_req,
             PendingPut {
@@ -948,16 +870,16 @@ impl WriteSession {
         };
         self.chunk_basis.remove(&p.chunk);
         let new_req = self.reqs.next();
-        out.push(WriteAction::Send {
-            to: p.target,
-            msg: Msg::PutChunk {
+        out.send(
+            p.target,
+            Msg::PutChunk {
                 req: new_req,
                 chunk: p.chunk,
                 size: p.size,
                 data: p.payload.bytes(),
                 background: false,
             },
-        });
+        );
         p.sent = false;
         p.as_delta = false;
         p.wire_cost = p.size as u64;
@@ -990,7 +912,7 @@ impl WriteSession {
             if newly_pushed > self.pushed_temps {
                 self.pushed_temps = newly_pushed;
                 if let WriteProtocol::Incremental { temp_size } = self.cfg.protocol {
-                    out.push(WriteAction::StageDiscard {
+                    out.push(Action::StageDiscard {
                         upto: self.pushed_temps * temp_size,
                     });
                 }
@@ -1076,57 +998,16 @@ impl WriteSession {
         }
     }
 
-    // ------------------------------------------------------ legacy shims
-
-    /// Drains pending actions into the legacy `Vec` form (tests).
-    pub fn take_actions(&mut self) -> Vec<WriteAction> {
-        self.actions
-            .drain()
-            .into_iter()
-            .map(WriteAction::from)
-            .collect()
-    }
-
-    /// Compatibility shim over [`Node::handle`].
-    pub fn on_msg(&mut self, msg: Msg, now: Time) -> Vec<WriteAction> {
-        Node::handle(self, MANAGER_NODE, msg, now);
-        self.take_actions()
-    }
-
-    /// Compatibility shim over [`Completion::SendDone`].
-    pub fn on_put_sent(&mut self, req: RequestId, now: Time) -> Vec<WriteAction> {
-        self.handle_completion(Completion::SendDone { req }, now);
-        self.take_actions()
-    }
-
-    /// Compatibility shim over [`Completion::SendFailed`].
-    pub fn on_put_failed(&mut self, req: RequestId, now: Time) -> Vec<WriteAction> {
-        self.handle_completion(Completion::SendFailed { req }, now);
-        self.take_actions()
-    }
-
-    /// Compatibility shim over [`Completion::StageAppended`].
-    pub fn on_stage_append_done(&mut self, op: u64, now: Time) -> Vec<WriteAction> {
-        self.handle_completion(Completion::StageAppended { op }, now);
-        self.take_actions()
-    }
-
-    /// Compatibility shim over [`Completion::StageFetched`].
-    pub fn on_stage_fetch(&mut self, op: u64, payload: Payload, now: Time) -> Vec<WriteAction> {
-        self.handle_completion(Completion::StageFetched { op, payload }, now);
-        self.take_actions()
-    }
-
     fn fail(&mut self, code: ErrorCode, out: &mut ActionQueue) {
         self.state = SessionState::Failed(code);
         let req = self.reqs.next();
-        out.push(WriteAction::Send {
-            to: MANAGER_NODE,
-            msg: Msg::AbortWrite {
+        out.send(
+            MANAGER_NODE,
+            Msg::AbortWrite {
                 req,
                 reservation: self.grant.reservation,
             },
-        });
+        );
     }
 
     // ------------------------------------------------------------ close path
@@ -1182,24 +1063,24 @@ impl WriteSession {
                 for node in self.stripe.clone() {
                     let req = self.reqs.next();
                     self.stash_reqs.insert(req);
-                    out.push(WriteAction::Send {
-                        to: node,
-                        msg: Msg::StashCommit {
+                    out.send(
+                        node,
+                        Msg::StashCommit {
                             req,
                             path: self.grant.path.clone(),
                             entries: entries.clone(),
                             placements: placements.clone(),
                         },
-                    });
+                    );
                 }
                 // Commit is sent once stashes ack (next pass).
                 return;
             }
             let req = self.reqs.next();
             self.commit_req = Some(req);
-            out.push(WriteAction::Send {
-                to: MANAGER_NODE,
-                msg: Msg::CommitChunkMap {
+            out.send(
+                MANAGER_NODE,
+                Msg::CommitChunkMap {
                     req,
                     reservation: self.grant.reservation,
                     entries,
@@ -1207,7 +1088,7 @@ impl WriteSession {
                     pessimistic: self.cfg.pessimistic,
                     dedup: self.dedup_summary(),
                 },
-            });
+            );
         }
     }
 

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use stdchk_core::{Manager, PoolConfig};
+use stdchk_core::{Action, Manager, Node, PoolConfig};
 use stdchk_proto::chunkmap::ChunkEntry;
 use stdchk_proto::ids::{ChunkId, NodeId, RequestId, ReservationId};
 use stdchk_proto::msg::Msg;
@@ -77,7 +77,7 @@ impl Driver {
         let now = Time::ZERO;
         let mut nodes = Vec::new();
         for i in 0..4u64 {
-            let out = mgr.handle_msg(
+            mgr.handle(
                 NodeId(500 + i),
                 Msg::JoinRequest {
                     req: RequestId(i + 1),
@@ -86,8 +86,8 @@ impl Driver {
                 },
                 now,
             );
-            if let Msg::JoinOk { node, .. } = out[0].msg {
-                nodes.push(node);
+            if let Some(Msg::JoinOk { node, .. }) = replies(&mut mgr).first() {
+                nodes.push(*node);
             }
         }
         Driver {
@@ -106,7 +106,7 @@ impl Driver {
 
     fn open(&mut self, path: u8, replication: u8) -> Option<(ReservationId, Vec<NodeId>)> {
         let req = self.req();
-        let out = self.mgr.handle_msg(
+        self.mgr.handle(
             NodeId(9000),
             Msg::CreateFile {
                 req,
@@ -118,12 +118,12 @@ impl Driver {
             },
             self.now,
         );
-        match &out[0].msg {
-            Msg::CreateFileOk {
+        match replies(&mut self.mgr).first() {
+            Some(Msg::CreateFileOk {
                 reservation,
                 stripe,
                 ..
-            } => Some((*reservation, stripe.clone())),
+            }) => Some((*reservation, stripe.clone())),
             _ => None,
         }
     }
@@ -153,7 +153,7 @@ impl Driver {
                     }
                 }
                 let req = self.req();
-                self.mgr.handle_msg(
+                self.mgr.handle(
                     NodeId(9000),
                     Msg::CommitChunkMap {
                         req,
@@ -169,7 +169,7 @@ impl Driver {
             Op::OpenAbort { path } => {
                 if let Some((res, _)) = self.open(path, 1) {
                     let req = self.req();
-                    self.mgr.handle_msg(
+                    self.mgr.handle(
                         NodeId(9000),
                         Msg::AbortWrite {
                             req,
@@ -185,7 +185,7 @@ impl Driver {
             }
             Op::Delete { path } => {
                 let req = self.req();
-                self.mgr.handle_msg(
+                self.mgr.handle(
                     NodeId(9000),
                     Msg::DeleteFile {
                         req,
@@ -196,7 +196,7 @@ impl Driver {
             }
             Op::SetReplacePolicy { keep } => {
                 let req = self.req();
-                self.mgr.handle_msg(
+                self.mgr.handle(
                     NodeId(9000),
                     Msg::SetPolicy {
                         req,
@@ -212,7 +212,7 @@ impl Driver {
             Op::Heartbeats => {
                 for (i, n) in self.nodes.clone().into_iter().enumerate() {
                     if !self.dead[i] {
-                        self.mgr.handle_msg(
+                        self.mgr.handle(
                             n,
                             Msg::Heartbeat {
                                 node: n,
@@ -234,10 +234,22 @@ impl Driver {
             }
             Op::Advance { ms } => {
                 self.now += Dur::from_millis(ms as u64);
-                self.mgr.tick(self.now);
+                self.mgr.handle_timeout(self.now);
             }
         }
+        self.mgr.drain_actions();
     }
+}
+
+/// Drains the manager's actions, keeping the replied messages.
+fn replies(mgr: &mut Manager) -> Vec<Msg> {
+    mgr.drain_actions()
+        .into_iter()
+        .filter_map(|a| match a {
+            Action::Send { msg, .. } => Some(msg),
+            _ => None,
+        })
+        .collect()
 }
 
 proptest! {

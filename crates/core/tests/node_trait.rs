@@ -1,7 +1,7 @@
-//! Drives a manager, benefactors, and client sessions **purely through the
-//! unified [`Node`] trait**: one generic effect executor fulfils every
-//! [`Action`] variant and feeds [`Completion`]s back, with no per-role
-//! action enums and no legacy `Vec`-returning shims involved.
+//! Drives a manager, benefactors, and client sessions through one generic
+//! effect executor over `&mut dyn Node`: it fulfils every [`Action`]
+//! variant and feeds [`Completion`]s back without knowing which role it
+//! is driving.
 //!
 //! This is the contract the real drivers (`stdchk-net`, `stdchk-sim`) build
 //! on; if the protocol round-trips here, a driver only has to execute

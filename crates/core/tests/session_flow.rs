@@ -8,12 +8,12 @@
 use std::collections::{HashMap, VecDeque};
 
 use stdchk_core::payload::Payload;
-use stdchk_core::session::read::{ReadAction, ReadSession};
+use stdchk_core::session::read::ReadSession;
 use stdchk_core::session::write::{
-    OpenGrant, SessionConfig, SessionState, WriteAction, WriteProtocol, WriteSession,
+    OpenGrant, SessionConfig, SessionState, WriteProtocol, WriteSession,
 };
 use stdchk_core::{
-    Benefactor, BenefactorAction, BenefactorConfig, Manager, PoolConfig, MANAGER_NODE,
+    Action, Benefactor, BenefactorConfig, Completion, Manager, Node, PoolConfig, MANAGER_NODE,
 };
 use stdchk_proto::ids::{ChunkId, NodeId, RequestId};
 use stdchk_proto::msg::Msg;
@@ -78,32 +78,45 @@ impl Pool {
         v
     }
 
-    fn apply_benefactor_actions(&mut self, id: NodeId, actions: Vec<BenefactorAction>) {
-        for a in actions {
+    /// Executes benefactor `id`'s queued actions, feeding completions back.
+    fn pump_benefactor(&mut self, id: NodeId) {
+        let b = self.benefactors.get_mut(&id).expect("benefactor");
+        let blobs = self.blobs.get_mut(&id).expect("blob store");
+        while let Some(a) = b.poll_action() {
             match a {
-                BenefactorAction::Send { to, msg } => self.queue.push_back((id, to, msg)),
-                BenefactorAction::Store { op, chunk, payload } => {
-                    self.blobs
-                        .get_mut(&id)
-                        .expect("blob store")
-                        .insert(chunk, payload);
-                    let b = self.benefactors.get_mut(&id).expect("benefactor");
-                    let more = b.on_store_complete(op, self.now);
-                    self.apply_benefactor_actions(id, more);
+                Action::Send { to, msg } => self.queue.push_back((id, to, msg)),
+                Action::Store { op, chunk, payload } => {
+                    blobs.insert(chunk, payload);
+                    b.handle_completion(Completion::Stored { op }, self.now);
                 }
-                BenefactorAction::Load { op, chunk, .. } => {
-                    let payload = self.blobs[&id]
-                        .get(&chunk)
-                        .cloned()
-                        .expect("load of stored chunk");
-                    let b = self.benefactors.get_mut(&id).expect("benefactor");
-                    let more = b.on_load_complete(op, chunk, payload, self.now);
-                    self.apply_benefactor_actions(id, more);
+                Action::Load { op, chunk, .. } => {
+                    let payload = blobs.get(&chunk).cloned().expect("load of stored chunk");
+                    b.handle_completion(Completion::Loaded { op, chunk, payload }, self.now);
                 }
-                BenefactorAction::Drop { chunk } => {
-                    self.blobs.get_mut(&id).expect("blob store").remove(&chunk);
+                Action::DropChunk { chunk } => {
+                    blobs.remove(&chunk);
                 }
+                other => panic!("benefactor never emits {other:?}"),
             }
+        }
+    }
+
+    /// Queues the manager's replies for delivery.
+    fn pump_manager(&mut self) {
+        while let Some(a) = self.mgr.poll_action() {
+            match a {
+                Action::Send { to, msg } => self.queue.push_back((MANAGER_NODE, to, msg)),
+                other => panic!("manager without a log emitted {other:?}"),
+            }
+        }
+    }
+
+    /// Sends `msg` from the client to the manager and returns its reply.
+    fn ask_manager(&mut self, msg: Msg) -> Msg {
+        self.mgr.handle(CLIENT, msg, self.now);
+        match self.mgr.drain_actions().into_iter().next() {
+            Some(Action::Send { msg, .. }) => msg,
+            other => panic!("expected a reply, got {other:?}"),
         }
     }
 
@@ -118,38 +131,33 @@ impl Pool {
                 continue; // crashed node: drop silently
             }
             if to == MANAGER_NODE {
-                let out = self.mgr.handle_msg(from, msg, self.now);
-                for s in out {
-                    self.queue.push_back((MANAGER_NODE, s.to, s.msg));
-                }
+                self.mgr.handle(from, msg, self.now);
+                self.pump_manager();
             } else if to == CLIENT {
                 if let Some(s) = session.as_deref_mut() {
-                    s.on_msg(self, msg);
+                    s.deliver(self, from, msg);
                 }
-            } else if self.benefactors.contains_key(&to) {
+            } else if let Some(b) = self.benefactors.get_mut(&to) {
                 if matches!(msg, Msg::PutChunk { .. }) {
                     self.put_count += 1;
                 }
-                let b = self.benefactors.get_mut(&to).expect("benefactor");
-                let actions = b.handle_msg(from, msg, self.now);
-                self.apply_benefactor_actions(to, actions);
+                b.handle(from, msg, self.now);
+                self.pump_benefactor(to);
             }
         }
     }
 
     fn tick_all(&mut self, session: Option<&mut Session>) {
-        let sends = self.mgr.tick(self.now);
-        for s in sends {
-            self.queue.push_back((MANAGER_NODE, s.to, s.msg));
-        }
+        self.mgr.handle_timeout(self.now);
+        self.pump_manager();
         let ids = self.benefactor_ids();
         for id in ids {
             if self.dead.contains(&id) {
                 continue;
             }
             let b = self.benefactors.get_mut(&id).expect("benefactor");
-            let actions = b.tick(self.now);
-            self.apply_benefactor_actions(id, actions);
+            b.handle_timeout(self.now);
+            self.pump_benefactor(id);
         }
         self.run(session);
     }
@@ -161,19 +169,14 @@ impl Pool {
 
     /// Opens a write session via the manager.
     fn open(&mut self, path: &str, cfg: SessionConfig, replication: u32) -> Session {
-        let out = self.mgr.handle_msg(
-            CLIENT,
-            Msg::CreateFile {
-                req: RequestId(1),
-                client: CLIENT,
-                path: path.to_string(),
-                stripe_width: 4,
-                replication,
-                expected_chunks: 4,
-            },
-            self.now,
-        );
-        let grant = match &out[0].msg {
+        let grant = match self.ask_manager(Msg::CreateFile {
+            req: RequestId(1),
+            client: CLIENT,
+            path: path.to_string(),
+            stripe_width: 4,
+            replication,
+            expected_chunks: 4,
+        }) {
             Msg::CreateFileOk {
                 file,
                 version,
@@ -184,12 +187,12 @@ impl Pool {
                 ..
             } => OpenGrant {
                 path: path.to_string(),
-                file: *file,
-                version: *version,
-                reservation: *reservation,
-                stripe: stripe.clone(),
-                prev_chunks: prev_chunks.clone(),
-                chunk_size: *chunk_size,
+                file,
+                version,
+                reservation,
+                stripe,
+                prev_chunks,
+                chunk_size,
                 reserved_chunks: 4,
             },
             other => panic!("open failed: {other:?}"),
@@ -214,68 +217,66 @@ struct Session {
 }
 
 impl Session {
-    fn apply(&mut self, pool: &mut Pool, actions: Vec<WriteAction>) {
-        for a in actions {
-            match a {
-                WriteAction::Send { to, msg } => {
+    /// Executes the session's queued actions, feeding completions back.
+    fn pump(&mut self, pool: &mut Pool) {
+        while let Some(a) = self.inner.poll_action() {
+            let done = match a {
+                Action::Send { to, msg } => {
                     if matches!(msg, Msg::PutChunk { .. })
                         && self.inner.state() == SessionState::Open
                     {
                         self.saw_put_before_close = true;
                     }
-                    // The message leaves the client instantly: report "sent".
-                    if let (Msg::PutChunk { req, .. }, true) = (&msg, !pool.dead.contains(&to)) {
-                        let req = *req;
+                    let Msg::PutChunk { req, .. } = msg else {
                         pool.queue.push_back((CLIENT, to, msg));
-                        let more = self.inner.on_put_sent(req, pool.now);
-                        self.apply(pool, more);
-                    } else if let Msg::PutChunk { req, .. } = &msg {
+                        continue;
+                    };
+                    if pool.dead.contains(&to) {
                         // Destination dead: the transport reports failure.
-                        let req = *req;
-                        let more = self.inner.on_put_failed(req, pool.now);
-                        self.apply(pool, more);
+                        Completion::SendFailed { req }
                     } else {
+                        // The message leaves the client instantly.
                         pool.queue.push_back((CLIENT, to, msg));
+                        Completion::SendDone { req }
                     }
                 }
-                WriteAction::StageAppend {
+                Action::StageAppend {
                     op,
                     offset,
                     payload,
                 } => {
                     self.stage.insert(offset, payload);
-                    let more = self.inner.on_stage_append_done(op, pool.now);
-                    self.apply(pool, more);
+                    Completion::StageAppended { op }
                 }
-                WriteAction::StageFetch { op, offset, .. } => {
-                    let p = self.stage.get(&offset).cloned().expect("staged data");
-                    let more = self.inner.on_stage_fetch(op, p, pool.now);
-                    self.apply(pool, more);
+                Action::StageFetch { op, offset, .. } => {
+                    let payload = self.stage.get(&offset).cloned().expect("staged data");
+                    Completion::StageFetched { op, payload }
                 }
-                WriteAction::StageDiscard { upto } => {
+                Action::StageDiscard { upto } => {
                     self.discards += 1;
                     self.stage.retain(|off, _| *off >= upto);
+                    continue;
                 }
-            }
+                other => panic!("write session never emits {other:?}"),
+            };
+            self.inner.handle_completion(done, pool.now);
         }
     }
 
-    fn on_msg(&mut self, pool: &mut Pool, msg: Msg) {
-        let actions = self.inner.on_msg(msg, pool.now);
-        self.apply(pool, actions);
+    fn deliver(&mut self, pool: &mut Pool, from: NodeId, msg: Msg) {
+        self.inner.handle(from, msg, pool.now);
+        self.pump(pool);
     }
 
     fn write(&mut self, pool: &mut Pool, data: &[u8]) {
         self.inner.write(Payload::real(data.to_vec()), pool.now);
-        let actions = self.inner.take_actions();
-        self.apply(pool, actions);
+        self.pump(pool);
         pool.run(Some(self));
     }
 
     fn close(&mut self, pool: &mut Pool) {
         self.inner.close(pool.now);
-        let actions = self.inner.take_actions();
-        self.apply(pool, actions);
+        self.pump(pool);
         pool.run(Some(self));
     }
 }
@@ -286,56 +287,30 @@ fn session_new(pool: &mut Pool, path: &str, cfg: SessionConfig, repl: u32) -> Se
 
 /// Reads a file back through a ReadSession and returns its bytes.
 fn read_back(pool: &mut Pool, path: &str) -> Vec<u8> {
-    let out = pool.mgr.handle_msg(
-        CLIENT,
-        Msg::GetFile {
-            req: RequestId(999),
-            path: path.to_string(),
-            version: None,
-        },
-        pool.now,
-    );
-    let view = match &out[0].msg {
-        Msg::FileViewReply { view, .. } => view.clone(),
+    let view = match pool.ask_manager(Msg::GetFile {
+        req: RequestId(999),
+        path: path.to_string(),
+        version: None,
+    }) {
+        Msg::FileViewReply { view, .. } => view,
         other => panic!("get failed: {other:?}"),
     };
     let mut rs = ReadSession::new(2, view, 4, true);
     let mut result = Vec::new();
-    let mut pending: VecDeque<ReadAction> = rs.poll(pool.now).into();
     let mut guard = 0;
     while !rs.is_done() {
         guard += 1;
         assert!(guard < 100_000, "read stuck");
-        if let Some(ReadAction::Send { to, msg }) = pending.pop_front() {
-            // Serve the GetChunk through the benefactor SM.
+        if let Some(Action::Send { to, msg }) = rs.poll_action() {
+            // Serve the GetChunk through the benefactor SM; its replies
+            // go straight back to the client.
             let b = pool.benefactors.get_mut(&to).expect("holder");
-            let actions = b.handle_msg(CLIENT, msg, pool.now);
-            // Collect replies to the client.
-            let mut replies = Vec::new();
-            for a in actions {
-                match a {
-                    BenefactorAction::Load { op, chunk, .. } => {
-                        let payload = pool.blobs[&to].get(&chunk).cloned().expect("blob");
-                        let b = pool.benefactors.get_mut(&to).expect("holder");
-                        for r in b.on_load_complete(op, chunk, payload, pool.now) {
-                            if let BenefactorAction::Send { to: c, msg } = r {
-                                assert_eq!(c, CLIENT);
-                                replies.push(msg);
-                            }
-                        }
-                    }
-                    BenefactorAction::Send { to: c, msg } => {
-                        assert_eq!(c, CLIENT);
-                        replies.push(msg);
-                    }
-                    _ => {}
-                }
+            b.handle(CLIENT, msg, pool.now);
+            pool.pump_benefactor(to);
+            while let Some((from, c, reply)) = pool.queue.pop_front() {
+                assert_eq!(c, CLIENT);
+                rs.handle(from, reply, pool.now);
             }
-            for r in replies {
-                pending.extend(rs.on_msg(r, pool.now));
-            }
-        } else {
-            pending.extend(rs.poll(pool.now));
         }
         while let Some((_, p)) = rs.next_ready() {
             result.extend_from_slice(&p.bytes());
@@ -582,16 +557,12 @@ fn pessimistic_close_waits_for_replication() {
     // The in-memory pool executes replication inline, so by quiescence the
     // session is done AND every chunk has two replicas.
     assert!(s.inner.is_done(), "state: {:?}", s.inner.state());
-    let out = pool.mgr.handle_msg(
-        CLIENT,
-        Msg::GetFile {
-            req: RequestId(55),
-            path: "/safe".into(),
-            version: None,
-        },
-        pool.now,
-    );
-    match &out[0].msg {
+    let out = pool.ask_manager(Msg::GetFile {
+        req: RequestId(55),
+        path: "/safe".into(),
+        version: None,
+    });
+    match &out {
         Msg::FileViewReply { view, .. } => {
             for (c, locs) in &view.locations {
                 assert!(locs.len() >= 2, "chunk {c} has {} replicas", locs.len());
@@ -619,35 +590,24 @@ fn stashed_commits_survive_manager_restart() {
 
     // The manager loses all metadata.
     pool.mgr = Manager::new(PoolConfig::fast_for_tests());
-    let out = pool.mgr.handle_msg(
-        CLIENT,
-        Msg::GetFile {
-            req: RequestId(77),
-            path: "/durable".into(),
-            version: None,
-        },
-        pool.now,
-    );
-    assert!(
-        matches!(out[0].msg, Msg::ErrorReply { .. }),
-        "metadata gone"
-    );
+    let out = pool.ask_manager(Msg::GetFile {
+        req: RequestId(77),
+        path: "/durable".into(),
+        version: None,
+    });
+    assert!(matches!(out, Msg::ErrorReply { .. }), "metadata gone");
 
     // Benefactors heartbeat (re-registering) and re-offer their stashes.
     for _ in 0..5 {
         pool.advance(Dur::from_millis(120), None);
     }
-    let out = pool.mgr.handle_msg(
-        CLIENT,
-        Msg::GetFile {
-            req: RequestId(78),
-            path: "/durable".into(),
-            version: None,
-        },
-        pool.now,
-    );
+    let out = pool.ask_manager(Msg::GetFile {
+        req: RequestId(78),
+        path: "/durable".into(),
+        version: None,
+    });
     assert!(
-        matches!(out[0].msg, Msg::FileViewReply { .. }),
+        matches!(out, Msg::FileViewReply { .. }),
         "recovered commit must be readable: {out:?}"
     );
     assert_eq!(pool.mgr.stats().recovered_commits, 1);

@@ -31,7 +31,7 @@
 //! read, so a dead manager or benefactor fails fast instead of hanging a
 //! client thread.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
@@ -365,6 +365,25 @@ impl Drop for GridInner {
 struct PathBases {
     sigs: HashMap<ChunkId, ChunkSignature>,
     homes: HashMap<ChunkId, Vec<NodeId>>,
+}
+
+impl PathBases {
+    /// Folds in what a committed session shipped, then keeps only the
+    /// chunks of the version it committed (`committed`). The next write
+    /// of the path only diffs a chunk against the previous version's
+    /// chunk at the same index, so older bases are dead weight. A chunk
+    /// the session reused keeps the basis harvested when it was shipped.
+    fn merge(
+        &mut self,
+        sigs: HashMap<ChunkId, ChunkSignature>,
+        homes: HashMap<ChunkId, Vec<NodeId>>,
+        committed: &HashSet<ChunkId>,
+    ) {
+        self.sigs.extend(sigs);
+        self.homes.extend(homes);
+        self.sigs.retain(|id, _| committed.contains(id));
+        self.homes.retain(|id, _| committed.contains(id));
+    }
 }
 
 /// A connection to a stdchk pool.
@@ -1212,21 +1231,23 @@ impl WriteHandle {
     }
 
     /// Banks this session's chunk signatures in the grid's per-path cache:
-    /// the delta bases for the next write of the same path. Merged over
-    /// older entries — a base pruned from the pool only costs a fallback
-    /// to full transfer, never correctness.
+    /// the delta bases for the next write of the same path, bounded to the
+    /// version just committed ([`PathBases::merge`]). A base pruned from
+    /// the pool only costs a fallback to full transfer, never correctness.
     fn harvest_signatures(&self) {
-        let (sigs, homes) = {
+        let (sigs, homes, committed) = {
             let mut s = self.shared.session.lock();
-            (s.take_signatures(), s.shipped_placements())
+            let committed: HashSet<ChunkId> = s.entries().iter().map(|e| e.id).collect();
+            (s.take_signatures(), s.shipped_placements(), committed)
         };
-        if sigs.is_empty() {
+        let mut cache = self.grid.inner.signatures.lock();
+        if sigs.is_empty() && !cache.contains_key(&self.path) {
             return;
         }
-        let mut cache = self.grid.inner.signatures.lock();
-        let bases = cache.entry(self.path.clone()).or_default();
-        bases.sigs.extend(sigs);
-        bases.homes.extend(homes);
+        cache
+            .entry(self.path.clone())
+            .or_default()
+            .merge(sigs, homes, &committed);
     }
 
     /// Closes the file: drains data, commits the chunk-map, and returns the
@@ -1361,6 +1382,33 @@ impl Read for ReadHandle {
             if self.buffer.is_empty() {
                 continue;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn path_bases_hold_one_version_only() {
+        let sig = |i: u64| ChunkSignature::of(&i.to_le_bytes().repeat(64));
+        let mut bases = PathBases::default();
+        // Each version keeps chunk 0 and rewrites the other three.
+        for v in 1..=5u64 {
+            let ids = [0, v * 10 + 1, v * 10 + 2, v * 10 + 3].map(ChunkId::test_id);
+            let shipped = if v == 1 { &ids[..] } else { &ids[1..] };
+            bases.merge(
+                shipped.iter().map(|id| (*id, sig(v))).collect(),
+                shipped.iter().map(|id| (*id, vec![NodeId(1)])).collect(),
+                &ids.into_iter().collect(),
+            );
+            let mut held: Vec<_> = bases.sigs.keys().copied().collect();
+            held.sort();
+            let mut want = ids.to_vec();
+            want.sort();
+            assert_eq!(held, want, "version {v}");
+            assert_eq!(bases.homes.len(), ids.len());
         }
     }
 }

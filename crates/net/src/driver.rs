@@ -52,9 +52,10 @@ pub trait Effects: Send + Sync + 'static {
     ///
     /// The default executes them one at a time in order. Implementations
     /// sitting on batch-aware resources should override it — the
-    /// benefactor coalesces its queued `Store` actions into one blob-store
-    /// `put_batch` so a group-commit engine covers a whole ingest burst
-    /// with a single flush.
+    /// benefactor hands its queued `Store` actions to one blob-store
+    /// `submit_put_batch` and waits once on its disk I/O lane, so a
+    /// group-commit engine covers a whole ingest burst with a single
+    /// flush; the manager submits its queued WAL records the same way.
     fn execute_batch(&self, actions: &mut Vec<Action>, completions: &mut Vec<Completion>) {
         for action in actions.drain(..) {
             if let Some(c) = self.execute(action) {

@@ -11,9 +11,9 @@
 //!   re-offers demote to a consistency repair.
 //! - [`BenefactorServer`] — a storage donor: joins the pool, heartbeats,
 //!   serves chunks from a [`store::ChunkStore`] (the
-//!   [`store::SegmentStore`] append-only segment log with group commit for
-//!   production; one-file-per-chunk [`store::DiskStore`] and
-//!   [`store::MemStore`] as alternatives), executes replication, runs GC.
+//!   [`store::SegmentStore`] append-only segment log with group commit on
+//!   disk, [`store::MemStore`] for tests and ephemeral pools), executes
+//!   replication, runs GC.
 //! - [`Grid`] — the client proxy: `create()`/`open()` handles implementing
 //!   `std::io::{Write, Read}` plus metadata operations.
 //!

@@ -23,24 +23,19 @@
 //! # Ordering
 //!
 //! Replay only reproduces the manager if log order equals mutation
-//! order. Two layers guarantee it: the manager stamps each
+//! order. The manager stamps each
 //! [`Action::MetaAppend`](stdchk_core::node::Action::MetaAppend) with a
 //! mutation-order `seq` (assigned under its state lock) and runs on an
-//! *ordered* `NodeHost` (batches execute in queue order, which is also
-//! what keeps a reply from overtaking the append that guards it), and
-//! [`MetaLog::append_batch`] independently enforces the stamps: a
-//! thread holding record `n + 1` waits (condvar, bounded) until record
-//! `n` has been appended, so even a driver with racing executors cannot
-//! interleave the log. Durability is then one group-commit wait per
-//! batch — the same flusher design the chunk store uses.
+//! *ordered* `NodeHost`: batches execute in queue order, which is also
+//! what keeps a reply from overtaking the append that guards it.
 //!
-//! The disk I/O lane splits that pair:
-//! [`MetaLog::submit_append_batch`] appends on the submitting thread
-//! (single-submitter: the ordered host serializes batches, so stamps
-//! must simply arrive in order — the condvar wait is replaced by a
-//! hard check) and [`MetaLog::wait_appended`] runs the group-commit
-//! wait on a lane worker, so the pump that drained the batch never
-//! blocks on the fsync tail.
+//! The log has one append path, split in two for the disk I/O lane.
+//! [`MetaLog::submit_append_batch`] appends on the submitting thread and
+//! checks that the stamps arrive in order; the ordered host is the only
+//! submitter, so a gap is a driver bug and poisons the log.
+//! [`MetaLog::wait_appended`] then runs one group-commit wait per batch
+//! on a lane worker — the same flusher design the chunk store uses — so
+//! the pump that drained the batch never blocks on the fsync tail.
 //!
 //! # Snapshots
 //!
@@ -62,7 +57,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use stdchk_util::ordlock::{Condvar, OrderedMutex};
+use stdchk_util::ordlock::OrderedMutex;
 
 use crate::ranks;
 
@@ -79,11 +74,6 @@ use crate::log::{
 const KIND_META: u8 = 0;
 /// Record kind byte: one framed [`MetaSnapshot`] (snapshot files only).
 const KIND_SNAPSHOT: u8 = 1;
-
-/// How long an out-of-order append waits for its predecessor before
-/// declaring the log wedged (a predecessor can only go missing through a
-/// driver bug or a died pump thread).
-const ORDER_WAIT: Duration = Duration::from_secs(10);
 
 /// Tuning knobs of a [`MetaLog`].
 #[derive(Clone, Copy, Debug)]
@@ -158,8 +148,8 @@ struct Inner {
     appended: u64,
     /// Persistent sequence number of the next record (goes in the key).
     next_seq: u64,
-    /// Runtime mutation-order stamp expected next (restores cross-thread
-    /// append order; starts at 0 every process run).
+    /// Runtime mutation-order stamp expected next (checked on
+    /// submission; starts at 0 every process run).
     expected_order: u64,
     /// Records appended since the last snapshot install (or open).
     records_since_snapshot: u64,
@@ -173,8 +163,6 @@ struct Inner {
 
 struct Core {
     inner: OrderedMutex<Inner>,
-    /// Wakes appenders waiting for their predecessor's order slot.
-    order_cv: Condvar,
     gc: GroupCommit,
 }
 
@@ -378,7 +366,6 @@ impl MetaLog {
                     pending_seals: Vec::new(),
                 },
             ),
-            order_cv: Condvar::new(),
             gc: GroupCommit::new(appended),
         });
         let flusher = if cfg.sync {
@@ -412,62 +399,9 @@ impl MetaLog {
         ))
     }
 
-    /// Appends one record (order stamp `seq`) and waits for durability.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures of the backing medium, or a wedged predecessor (see
-    /// [`MetaLog::append_batch`]).
-    pub fn append(&self, seq: u64, record: &MetaRecord) -> io::Result<()> {
-        self.append_batch(&[(seq, record.clone())])
-    }
-
-    /// Appends a batch of `(order stamp, record)` pairs and waits for one
-    /// group commit covering all of them.
-    ///
-    /// Order stamps restore mutation order across racing pump threads: a
-    /// record may only land once every lower-stamped record has. The
-    /// wait is condvar-based and bounded; a predecessor that never
-    /// arrives (a driver dropped a stamped record) poisons the log.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, a poisoned log, or an order wait that timed out.
-    pub fn append_batch(&self, batch: &[(u64, MetaRecord)]) -> io::Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let mut target = 0;
-        {
-            let mut inner = self.core.inner.lock();
-            for (order, record) in batch {
-                while inner.expected_order != *order {
-                    if self.core.gc.is_poisoned() {
-                        return Err(io::Error::other("metadata log poisoned"));
-                    }
-                    if self
-                        .core
-                        .order_cv
-                        .wait_for(&mut inner, ORDER_WAIT)
-                        .timed_out()
-                    {
-                        self.core.gc.poison();
-                        return Err(io::Error::other(format!(
-                            "metadata log wedged: record {} never arrived (holding {})",
-                            inner.expected_order, order
-                        )));
-                    }
-                }
-                target = self.append_record(&mut inner, *order, record)?;
-            }
-        }
-        self.wait_appended(target)
-    }
-
     /// Appends one record under the inner lock, advancing the seq/order
-    /// counters *even on failure* (so waiting successors fail fast on
-    /// the poisoned log instead of timing out) and returning the
-    /// watermark the record must be committed to.
+    /// counters even on failure (the log is poisoned then), and returns
+    /// the watermark the record must be committed to.
     fn append_record(&self, inner: &mut Inner, order: u64, record: &MetaRecord) -> io::Result<u64> {
         let payload = record.to_wire_bytes();
         let mut key = [0u8; 32];
@@ -477,7 +411,6 @@ impl MetaLog {
         inner.expected_order = order + 1;
         inner.next_seq += 1;
         inner.records_since_snapshot += 1;
-        self.core.order_cv.notify_all();
         match res {
             Ok(t) => Ok(t),
             Err(e) => {
@@ -489,17 +422,15 @@ impl MetaLog {
         }
     }
 
-    /// Nonblocking half of [`MetaLog::append_batch`] for the disk I/O
-    /// lane: appends every record *now* — fixing WAL order at submission
-    /// time — and returns the watermark to hand to
-    /// [`MetaLog::wait_appended`] on a lane thread.
+    /// Appends a batch of `(order stamp, record)` pairs *now* — fixing
+    /// WAL order at submission time — without waiting for durability,
+    /// and returns the watermark to hand to [`MetaLog::wait_appended`]
+    /// (which the manager runs on its disk I/O lane).
     ///
-    /// Unlike [`MetaLog::append_batch`], an out-of-order stamp is an
-    /// *error*, not a wait: this path has a single submitter (the
-    /// manager's ordered `NodeHost` executes drained batches strictly in
-    /// queue order, which is also stamp order), so a predecessor that
-    /// has not arrived yet can never arrive — the cross-thread
-    /// order-stamp condvar is replaced by this submitter-order check.
+    /// An out-of-order stamp is an *error*: the manager's ordered
+    /// `NodeHost` is the only submitter and executes drained batches
+    /// strictly in queue order, which is also stamp order, so a
+    /// predecessor that has not arrived yet can never arrive.
     ///
     /// # Errors
     ///
@@ -781,6 +712,12 @@ mod tests {
         dir
     }
 
+    /// Submits one record and waits for it to be durable.
+    fn append(mlog: &MetaLog, seq: u64, record: MetaRecord) {
+        let target = mlog.submit_append_batch(&[(seq, record)]).unwrap();
+        mlog.wait_appended(target).unwrap();
+    }
+
     fn rec(i: u64) -> MetaRecord {
         MetaRecord::SetPolicy {
             dir: format!("/d{i}"),
@@ -799,7 +736,7 @@ mod tests {
             assert!(recovered.snapshot.is_none());
             assert!(recovered.records.is_empty());
             for i in 0..10 {
-                mlog.append(i, &rec(i)).unwrap();
+                append(&mlog, i, rec(i));
             }
         }
         let (_mlog, recovered) = MetaLog::open(&dir).unwrap();
@@ -811,29 +748,11 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_batches_are_serialized() {
-        let dir = tmp("reorder");
-        let (mlog, _) = MetaLog::open(&dir).unwrap();
-        let mlog = std::sync::Arc::new(mlog);
-        // Reverse submission order: the thread holding seq 1 must wait
-        // for seq 0.
-        let m2 = std::sync::Arc::clone(&mlog);
-        let t = std::thread::spawn(move || m2.append(1, &rec(1)).unwrap());
-        std::thread::sleep(Duration::from_millis(30));
-        mlog.append(0, &rec(0)).unwrap();
-        t.join().unwrap();
-        drop(mlog);
-        let (_m, recovered) = MetaLog::open(&dir).unwrap();
-        assert_eq!(recovered.records, vec![rec(0), rec(1)]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn torn_tail_is_truncated() {
         let dir = tmp("torn");
         {
             let (mlog, _) = MetaLog::open(&dir).unwrap();
-            mlog.append(0, &rec(0)).unwrap();
+            append(&mlog, 0, rec(0));
         }
         // Garbage at the tail of the active segment.
         let seg = wal_path(&dir, 0);
@@ -845,7 +764,7 @@ mod tests {
         let (mlog, recovered) = MetaLog::open(&dir).unwrap();
         assert_eq!(recovered.records, vec![rec(0)]);
         // And appends continue on a clean boundary.
-        mlog.append(0, &rec(1)).unwrap();
+        append(&mlog, 0, rec(1));
         drop(mlog);
         let (_m, recovered) = MetaLog::open(&dir).unwrap();
         assert_eq!(recovered.records, vec![rec(0), rec(1)]);
@@ -886,7 +805,10 @@ mod tests {
         mlog.submit_append_batch(&[(0, rec(0))]).unwrap();
         assert!(mlog.submit_append_batch(&[(2, rec(2))]).is_err());
         assert!(mlog.is_poisoned());
-        assert!(mlog.append(1, &rec(1)).is_err(), "poisoned log refuses");
+        assert!(
+            mlog.submit_append_batch(&[(1, rec(1))]).is_err(),
+            "poisoned log refuses"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -906,7 +828,7 @@ mod tests {
             let (mlog, _) = MetaLog::open_with(&dir, cfg).unwrap();
             mlog.set_io_lane(std::sync::Arc::clone(&lane));
             for i in 0..12 {
-                mlog.append(i, &rec(i)).unwrap();
+                append(&mlog, i, rec(i));
             }
             let before = lane.completed();
             mlog.install_with(|| snap.clone()).unwrap();
@@ -921,7 +843,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
             assert_eq!(mlog.wal_segment_count().unwrap(), 1);
-            mlog.append(12, &rec(99)).unwrap();
+            append(&mlog, 12, rec(99));
         }
         let (_m, recovered) = MetaLog::open(&dir).unwrap();
         assert_eq!(recovered.snapshot, Some(snap));
@@ -949,14 +871,14 @@ mod tests {
             };
             let (mlog, _) = MetaLog::open_with(&dir, cfg).unwrap();
             for i in 0..20 {
-                mlog.append(i, &rec(i)).unwrap();
+                append(&mlog, i, rec(i));
             }
             assert!(mlog.wal_segment_count().unwrap() > 1);
             mlog.install_with(|| snap.clone()).unwrap();
             assert_eq!(mlog.wal_segment_count().unwrap(), 1, "old segments pruned");
             assert_eq!(mlog.records_since_snapshot(), 0);
             // Post-snapshot tail.
-            mlog.append(20, &rec(100)).unwrap();
+            append(&mlog, 20, rec(100));
         }
         let (_m, recovered) = MetaLog::open(&dir).unwrap();
         assert_eq!(recovered.snapshot, Some(snap));
@@ -974,13 +896,13 @@ mod tests {
         {
             let (mlog, _) = MetaLog::open_with(&dir, cfg).unwrap();
             for i in 0..4 {
-                mlog.append(i, &rec(i)).unwrap();
+                append(&mlog, i, rec(i));
             }
             mlog.install_with(MetaSnapshot::default).unwrap();
             // Fill the post-snapshot segment past rotation so records
             // span at least two segments after the snapshot base.
             for i in 4..16 {
-                mlog.append(i, &rec(i)).unwrap();
+                append(&mlog, i, rec(i));
             }
             assert!(mlog.wal_segment_count().unwrap() >= 2);
         }
@@ -999,9 +921,9 @@ mod tests {
         let dir = tmp("badsnap");
         {
             let (mlog, _) = MetaLog::open(&dir).unwrap();
-            mlog.append(0, &rec(0)).unwrap();
+            append(&mlog, 0, rec(0));
             mlog.install_with(MetaSnapshot::default).unwrap();
-            mlog.append(1, &rec(1)).unwrap();
+            append(&mlog, 1, rec(1));
         }
         // Trash the snapshot body.
         let snap = snap_path(&dir, 1);
@@ -1050,8 +972,10 @@ mod tests {
         };
         {
             let (mlog, _) = MetaLog::open(&dir).unwrap();
-            mlog.append_batch(&[(0, commit.clone()), (1, rec(1))])
+            let target = mlog
+                .submit_append_batch(&[(0, commit.clone()), (1, rec(1))])
                 .unwrap();
+            mlog.wait_appended(target).unwrap();
         }
         let (_m, recovered) = MetaLog::open(&dir).unwrap();
         assert_eq!(recovered.records, vec![commit, rec(1)]);

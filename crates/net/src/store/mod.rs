@@ -1,30 +1,22 @@
 //! Chunk blob stores backing a benefactor's scavenged space.
 //!
 //! The benefactor state machine owns the authoritative chunk *index*; these
-//! stores hold the bytes, behind the [`ChunkStore`] trait so the server
-//! wiring, the examples, and the tests can pick a layout per deployment:
+//! stores hold the bytes, behind the [`ChunkStore`] trait:
 //!
-//! - [`SegmentStore`] — the production engine: an append-only segment log
+//! - [`SegmentStore`] — the on-disk engine: an append-only segment log
 //!   with group commit, crash recovery and compaction (see [`segment`]).
 //!   Small-chunk ingest runs at near-sequential disk bandwidth because every
 //!   put is one append and one *shared* `sync_data`.
-//! - [`DiskStore`] — the original one-file-per-chunk layout, named by
-//!   content hash inside the donated directory: self-describing,
-//!   crash-tolerant (a partial write fails its hash check on read), and
-//!   trivially garbage-collectable, but it pays `create` + `write` +
-//!   `sync_data` + `rename` per chunk, which caps burst ingest far below
-//!   what the hardware allows. Kept as the simple/debuggable baseline and
-//!   as the comparison point for the store benchmark.
 //! - [`MemStore`] — in-memory, for tests and ephemeral pools.
 //!
-//! # Choosing a store
+//! # Opening a store
 //!
 //! ```no_run
 //! use stdchk_net::store::{ChunkStore, SegmentStore};
 //! use std::sync::Arc;
 //!
 //! # fn main() -> std::io::Result<()> {
-//! // The default production engine for a donated directory:
+//! // The engine for a donated directory:
 //! let store: Arc<dyn ChunkStore> = Arc::new(SegmentStore::open("/scavenge/stdchk")?);
 //! # Ok(())
 //! # }
@@ -42,9 +34,7 @@ pub mod segment;
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io;
 
 use bytes::Bytes;
 use stdchk_util::ordlock::OrderedMutex;
@@ -52,7 +42,6 @@ use stdchk_util::ordlock::OrderedMutex;
 use crate::ranks;
 
 use stdchk_proto::ids::ChunkId;
-use stdchk_util::sha256::Sha256;
 
 pub use segment::{SegmentStore, SegmentStoreConfig};
 
@@ -104,40 +93,26 @@ pub trait ChunkStore: Send + Sync + 'static {
     /// I/O failures of the backing medium.
     fn put(&self, id: ChunkId, data: &[u8]) -> io::Result<()>;
 
-    /// Persists a whole batch, durable once `Ok` is returned. The driver
-    /// hands a benefactor's queued `Store` actions over together so an
-    /// engine with group commit ([`SegmentStore`]) can cover the batch with
-    /// a single flush; the default just loops [`ChunkStore::put`].
+    /// Persists a whole batch without waiting for durability: stage or
+    /// append it *now* — fixing the engine's record order at submission
+    /// time — and return an engine-defined token. The bytes are durable
+    /// only once [`ChunkStore::wait_put`] returns `Ok` for that token; the
+    /// benefactor hands its queued `Store` actions over together and runs
+    /// the wait on its disk I/O lane, so an engine with group commit
+    /// ([`SegmentStore`]) covers the batch with a single flush and a pump
+    /// never blocks on an fsync tail.
     ///
-    /// # Errors
-    ///
-    /// I/O failures of the backing medium. On error the caller must assume
-    /// nothing from the batch is durable.
-    fn put_batch(&self, batch: &[(ChunkId, &[u8])]) -> io::Result<()> {
-        for (id, data) in batch {
-            self.put(*id, data)?;
-        }
-        Ok(())
-    }
-
-    /// Nonblocking half of [`ChunkStore::put_batch`] for the disk I/O
-    /// lane: stage/append the whole batch *now* — fixing the engine's
-    /// record order at submission time — and return an engine-defined
-    /// token. The bytes are durable only once [`ChunkStore::wait_put`]
-    /// returns `Ok` for that token; the driver runs that wait on a lane
-    /// thread so a pump never blocks on an fsync tail.
-    ///
-    /// The default performs the full blocking [`ChunkStore::put_batch`]
-    /// inline and returns a token whose wait is a no-op: engines without
-    /// a separable durability wait (in-memory, file-per-chunk) keep
-    /// their existing behavior.
+    /// The default loops [`ChunkStore::put`] and returns a token whose
+    /// wait is a no-op (engines without a separable durability wait).
     ///
     /// # Errors
     ///
     /// I/O failures staging the batch; nothing from the batch should be
     /// considered stored.
     fn submit_put_batch(&self, batch: &[(ChunkId, &[u8])]) -> io::Result<u64> {
-        self.put_batch(batch)?;
+        for (id, data) in batch {
+            self.put(*id, data)?;
+        }
         Ok(0)
     }
 
@@ -284,116 +259,6 @@ impl ChunkStore for MemStore {
     }
 }
 
-/// Distinguishes concurrent in-flight temp files within one process; the
-/// pid in the name distinguishes processes.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// One-file-per-chunk store in a donated directory.
-///
-/// Every chunk lives in a file named by the hex of its content hash.
-/// Writes go through a `.tmp-` file plus `rename` so a crash can never
-/// leave a half-written chunk under a valid name; `open` sweeps `.tmp-`
-/// leftovers from crashed processes.
-#[derive(Debug)]
-pub struct DiskStore {
-    dir: PathBuf,
-}
-
-impl DiskStore {
-    /// Opens (creating if needed) a store rooted at `dir`, removing any
-    /// orphaned `.tmp-` files a previous process left behind.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the directory cannot be created or listed.
-    pub fn open(dir: impl AsRef<Path>) -> io::Result<DiskStore> {
-        fs::create_dir_all(dir.as_ref())?;
-        for entry in fs::read_dir(dir.as_ref())? {
-            let entry = entry?;
-            if entry.file_name().to_string_lossy().starts_with(".tmp-") {
-                fs::remove_file(entry.path()).ok();
-            }
-        }
-        Ok(DiskStore {
-            dir: dir.as_ref().to_path_buf(),
-        })
-    }
-
-    fn path_of(&self, id: ChunkId) -> PathBuf {
-        self.dir.join(Sha256::to_hex(id.as_bytes()))
-    }
-}
-
-impl ChunkStore for DiskStore {
-    fn put(&self, id: ChunkId, data: &[u8]) -> io::Result<()> {
-        // Write-then-rename for atomicity against crashes mid-write. The
-        // per-process sequence number keeps two concurrent puts of the same
-        // chunk (same id, same length) from racing on one temp path.
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed),
-        ));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(data)?;
-            f.sync_data()?;
-        }
-        fs::rename(&tmp, self.path_of(id))
-    }
-
-    fn get(&self, id: ChunkId) -> io::Result<Option<Bytes>> {
-        match fs::File::open(self.path_of(id)) {
-            Ok(mut f) => {
-                let mut buf = Vec::new();
-                f.read_to_end(&mut buf)?;
-                Ok(Some(Bytes::from(buf)))
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn delete(&self, id: ChunkId) -> io::Result<()> {
-        match fs::remove_file(self.path_of(id)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn ids(&self) -> io::Result<Vec<ChunkId>> {
-        Ok(self.entries()?.into_iter().map(|(id, _)| id).collect())
-    }
-
-    fn entries(&self) -> io::Result<Vec<(ChunkId, u32)>> {
-        let mut out = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.len() != 64 {
-                continue; // temp files and strangers
-            }
-            let mut digest = [0u8; 32];
-            let mut ok = true;
-            for i in 0..32 {
-                match u8::from_str_radix(&name[i * 2..i * 2 + 2], 16) {
-                    Ok(b) => digest[i] = b,
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                out.push((ChunkId(digest), entry.metadata()?.len() as u32));
-            }
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,67 +282,11 @@ mod tests {
     }
 
     #[test]
-    fn disk_store_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("stdchk-test-{}", std::process::id()));
-        let store = DiskStore::open(&dir).unwrap();
-        exercise(&store);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn segment_store_roundtrip() {
         let dir = std::env::temp_dir().join(format!("stdchk-segtrait-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let store = SegmentStore::open(&dir).unwrap();
         exercise(&store);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn disk_store_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("stdchk-reopen-{}", std::process::id()));
-        let data = b"persistent";
-        let id = ChunkId::for_content(data);
-        {
-            let store = DiskStore::open(&dir).unwrap();
-            store.put(id, data).unwrap();
-        }
-        let store = DiskStore::open(&dir).unwrap();
-        assert_eq!(&store.get(id).unwrap().unwrap()[..], data);
-        assert_eq!(store.ids().unwrap(), vec![id]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn disk_store_open_sweeps_orphaned_tmp_files() {
-        let dir = std::env::temp_dir().join(format!("stdchk-orphan-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(".tmp-4242-7"), b"torn half-write").unwrap();
-        let store = DiskStore::open(&dir).unwrap();
-        assert!(store.ids().unwrap().is_empty());
-        assert!(
-            !dir.join(".tmp-4242-7").exists(),
-            "orphaned temp file must be swept at open"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn disk_store_concurrent_same_chunk_puts_do_not_collide() {
-        let dir = std::env::temp_dir().join(format!("stdchk-race-{}", std::process::id()));
-        let store = std::sync::Arc::new(DiskStore::open(&dir).unwrap());
-        let data = vec![0x5Au8; 64 << 10];
-        let id = ChunkId::for_content(&data);
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let store = std::sync::Arc::clone(&store);
-            let data = data.clone();
-            handles.push(std::thread::spawn(move || store.put(id, &data)));
-        }
-        for h in handles {
-            h.join().unwrap().unwrap();
-        }
-        assert_eq!(&store.get(id).unwrap().unwrap()[..], &data[..]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -49,16 +49,18 @@
 //!
 //! # Group commit
 //!
-//! `put` appends under the writer lock, then waits for its bytes to become
-//! durable. A dedicated flusher thread watches the appended watermark,
-//! runs one `sync_data` on the active segment per round, and advances the
-//! durable watermark for every record that landed before the snapshot —
-//! the same trick databases use for their WAL, with the flusher shape
-//! additionally overlapping writeback with ongoing appends/checksumming.
-//! Batches form two ways: concurrent writers (striped sessions land on a
-//! benefactor over parallel connections) share one flush, and
-//! [`ChunkStore::put_batch`] commits a whole driver-drained burst of
-//! chunks under a single wait.
+//! Every put goes through one path: [`ChunkStore::submit_put_batch`]
+//! appends the records under the writer lock and returns the appended
+//! watermark, and [`ChunkStore::wait_put`] waits for that watermark to
+//! become durable (`put` is the two back to back). A dedicated flusher
+//! thread watches the appended watermark, runs one `sync_data` on the
+//! active segment per round, and advances the durable watermark for every
+//! record that landed before the snapshot — the same trick databases use
+//! for their WAL, with the flusher shape additionally overlapping
+//! writeback with ongoing appends/checksumming. Batches form two ways:
+//! concurrent writers (striped sessions land on a benefactor over
+//! parallel connections) share one flush, and the benefactor submits a
+//! whole drained burst of chunks and waits once, on its disk I/O lane.
 //!
 //! # Crash recovery
 //!
@@ -724,19 +726,7 @@ impl SegmentStore {
 
 impl ChunkStore for SegmentStore {
     fn put(&self, id: ChunkId, data: &[u8]) -> io::Result<()> {
-        let header = encode_header(KIND_PUT, id.as_bytes(), data);
-        let target = {
-            let mut shared = self.core.shared.lock();
-            self.append_put(&mut shared, id, &header, data)?
-        };
-        if self.cfg.sync {
-            self.group_commit(target)?;
-        }
-        Ok(())
-    }
-
-    fn put_batch(&self, batch: &[(ChunkId, &[u8])]) -> io::Result<()> {
-        let target = self.submit_put_batch(batch)?;
+        let target = self.submit_put_batch(&[(id, data)])?;
         self.wait_put(target)
     }
 

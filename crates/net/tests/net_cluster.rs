@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use stdchk_core::session::write::{SessionConfig, WriteProtocol};
 use stdchk_core::{BenefactorConfig, PoolConfig};
-use stdchk_net::store::{DiskStore, MemStore, SegmentStore};
+use stdchk_net::store::{ChunkStore, MemStore, SegmentStore};
 use stdchk_net::{
     BenefactorNetConfig, BenefactorServer, Grid, GridRuntime, ManagerServer, ServerOpts,
     WriteOptions,
@@ -272,6 +272,28 @@ fn negotiation_ships_only_missing_chunks_of_similar_version() {
     let totals = pool.mgr.dedup_totals();
     assert_eq!(totals.commits, 2);
     assert_eq!(totals.reused_bytes, report.dup_bytes);
+
+    // v3 dirties chunks that v2 reused instead of shipping: their delta
+    // bases were harvested from v1 and must survive the client's bound
+    // on its basis cache (the chunks of the last committed version).
+    let mut v3 = v2.clone();
+    for i in [0usize, 3, 6] {
+        v3[i * CHUNK + 17] ^= 0xff;
+    }
+    let mut w = grid
+        .create("/ckpt/img.n0", WriteOptions::default())
+        .expect("v3");
+    w.write_all(&v3).expect("write v3");
+    let s3 = w.finish().expect("finish v3");
+    assert_eq!(s3.wanted_chunks, 3);
+    assert!(
+        s3.wire_delta_bytes > 0,
+        "chunks reused by v2 must keep their v1 delta bases"
+    );
+    assert_eq!(
+        grid.open("/ckpt/img.n0", None).unwrap().read_all().unwrap(),
+        v3
+    );
     pool.mgr.check_invariants();
 }
 
@@ -352,14 +374,28 @@ fn write_survives_benefactor_death() {
     );
 }
 
-/// Writes through a benefactor backed by `open_store(dir)`, restarts the
-/// benefactor process on the same directory, and checks the restarted
-/// index adopts every persisted chunk.
-fn benefactor_serves_after_restart(
-    tag: &str,
-    open_store: impl Fn(&std::path::Path) -> Arc<dyn stdchk_net::store::ChunkStore>,
-) {
-    let dir = std::env::temp_dir().join(format!("stdchk-net-restart-{tag}-{}", std::process::id()));
+/// Opens a segment store on `dir`, retrying while a just-dropped
+/// predecessor still holds the directory's exclusive `LOCK` (its threads
+/// drain their `Arc`s asynchronously).
+fn open_segment_store(dir: &std::path::Path) -> Arc<dyn ChunkStore> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        match SegmentStore::open(dir) {
+            Ok(s) => return Arc::new(s),
+            Err(e) if e.kind() == std::io::ErrorKind::AddrInUse && Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Err(e) => panic!("open segment store: {e}"),
+        }
+    }
+}
+
+/// Writes through a segment-store benefactor, restarts the benefactor
+/// process on the same directory, and checks the restarted index adopts
+/// every persisted chunk.
+#[test]
+fn segment_store_benefactor_serves_after_restart() {
+    let dir = std::env::temp_dir().join(format!("stdchk-net-restart-seg-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let mut pool_cfg = PoolConfig::fast_for_tests();
     pool_cfg.chunk_size = 64 << 10;
@@ -369,7 +405,7 @@ fn benefactor_serves_after_restart(
         listen: "127.0.0.1:0".into(),
         total_space: 64 << 20,
         cfg: BenefactorConfig::fast_for_tests(),
-        store: open_store(&dir),
+        store: open_segment_store(&dir),
     })
     .expect("benefactor");
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -395,37 +431,11 @@ fn benefactor_serves_after_restart(
         listen: "127.0.0.1:0".into(),
         total_space: 64 << 20,
         cfg: BenefactorConfig::fast_for_tests(),
-        store: open_store(&dir),
+        store: open_segment_store(&dir),
     })
     .expect("benefactor restart");
     assert_eq!(b2.chunk_count(), old_chunks, "index adopted from disk");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn disk_store_benefactor_serves_after_restart() {
-    benefactor_serves_after_restart("disk", |dir| Arc::new(DiskStore::open(dir).expect("store")));
-}
-
-#[test]
-fn segment_store_benefactor_serves_after_restart() {
-    benefactor_serves_after_restart("seg", |dir| {
-        // The store directory is exclusively locked; after an in-process
-        // "restart" the old server's threads may still be draining their
-        // Arc, so retry until they release it.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match SegmentStore::open(dir) {
-                Ok(s) => return Arc::new(s) as Arc<dyn stdchk_net::store::ChunkStore>,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::AddrInUse && Instant::now() < deadline =>
-                {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => panic!("open segment store: {e}"),
-            }
-        }
-    });
 }
 
 /// Opens a durable manager on `meta_dir`, retrying while a just-dropped
@@ -1044,7 +1054,7 @@ fn connect_to_dead_manager_fails_fast() {
     drop(listener);
 }
 
-/// Chaos: a disk-backed benefactor is killed in the middle of a
+/// Chaos: a segment-store benefactor is killed in the middle of a
 /// replicated write and restarted on the same directory moments later.
 /// The client fails its in-flight puts over to surviving stripe nodes,
 /// the manager expires the dead incarnation by heartbeat timeout, the
@@ -1078,7 +1088,7 @@ fn chaos_benefactor_kill_restart_mid_write_converges() {
             listen: "127.0.0.1:0".into(),
             total_space: 256 << 20,
             cfg: bcfg.clone(),
-            store: Arc::new(DiskStore::open(dir).expect("disk store")),
+            store: open_segment_store(dir),
         })
         .expect("benefactor")
     };
@@ -1121,7 +1131,9 @@ fn chaos_benefactor_kill_restart_mid_write_converges() {
     }
 
     // Kill the disk-backed benefactor mid-write; its lease (150 ms)
-    // expires while the client keeps writing.
+    // expires while the client keeps writing. Dropping it starts the
+    // release of its store's exclusive directory `LOCK`, which the
+    // restart below waits for.
     victim.shutdown();
     drop(victim);
     std::thread::sleep(Duration::from_millis(400));

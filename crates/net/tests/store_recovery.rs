@@ -1,4 +1,4 @@
-//! Crash-recovery and model-based tests of the blob-store engines.
+//! Crash-recovery and model-based tests of the segment-log chunk store.
 //!
 //! The durability contract under test: every chunk whose `put` returned
 //! `Ok` (i.e. was *acked* to the writer) must survive a process crash —
@@ -14,7 +14,7 @@ use std::io::Write;
 
 use proptest::prelude::*;
 
-use stdchk_net::store::{ChunkStore, DiskStore, MemStore, SegmentStore, SegmentStoreConfig};
+use stdchk_net::store::{ChunkStore, MemStore, SegmentStore, SegmentStoreConfig};
 use stdchk_proto::ids::ChunkId;
 use stdchk_util::mix64;
 
@@ -77,35 +77,6 @@ fn reopened_store_with_torn_tail_serves_every_acked_chunk() {
     let ids: BTreeSet<ChunkId> = store.ids().unwrap().into_iter().collect();
     let want: BTreeSet<ChunkId> = acked.iter().map(|(id, _)| *id).collect();
     assert_eq!(ids, want, "ids() after recovery = exactly the acked puts");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A successful `DiskStore::put` leaves no `.tmp-` litter, and litter from
-/// a crashed process neither shows up in `ids()` nor survives a reopen.
-#[test]
-fn disk_store_tmp_files_are_invisible_and_swept() {
-    let dir = tmp("tmp-sweep");
-    let store = DiskStore::open(&dir).unwrap();
-    let (id, data) = chunk(1, 4 << 10);
-    store.put(id, &data).unwrap();
-    let litter: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter(|e| {
-            e.as_ref()
-                .unwrap()
-                .file_name()
-                .to_string_lossy()
-                .starts_with(".tmp-")
-        })
-        .collect();
-    assert!(litter.is_empty(), "successful put must clean its temp file");
-
-    // A crashed process left half-written temps behind.
-    std::fs::write(dir.join(".tmp-999-0"), b"half").unwrap();
-    std::fs::write(dir.join(".tmp-999-1"), b"written").unwrap();
-    let store = DiskStore::open(&dir).unwrap();
-    assert_eq!(store.ids().unwrap(), vec![id]);
-    assert!(!dir.join(".tmp-999-0").exists() && !dir.join(".tmp-999-1").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 

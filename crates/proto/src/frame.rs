@@ -1,7 +1,7 @@
 //! Length-prefixed framing for byte streams.
 //!
 //! Each frame is a little-endian `u32` length followed by that many payload
-//! bytes (one encoded [`Msg`]). Three tiers of API:
+//! bytes (one encoded [`Msg`]). Two tiers of API:
 //!
 //! - [`FrameDecoder`] / [`FrameEncoder`] — the incremental sans-IO codec
 //!   the event-driven reactor transport runs on: the decoder accumulates
@@ -9,8 +9,6 @@
 //!   sliced zero-copy out of the frame buffer), the encoder keeps a
 //!   resumable outbound buffer that survives short writes on nonblocking
 //!   sockets;
-//! - [`FrameBuf`] — a simpler incremental splitter yielding raw frame
-//!   bodies;
 //! - [`read_frame`] / [`write_frame`] — blocking helpers for `std::io`
 //!   streams (bounded connect handshakes, the blocking resolver
 //!   sideband, raw test and bench clients).
@@ -28,77 +26,6 @@ use crate::msg::Msg;
 /// Default maximum accepted frame: 64 MiB (comfortably above the largest
 /// chunk payload stdchk ships).
 pub const MAX_FRAME: u32 = 64 << 20;
-
-/// Incremental frame decoder for sans-IO use.
-///
-/// # Examples
-///
-/// ```
-/// use stdchk_proto::frame::FrameBuf;
-///
-/// let mut fb = FrameBuf::new(1024);
-/// let frame = [3u8, 0, 0, 0, b'a', b'b', b'c'];
-/// // Feed byte-by-byte: no frame until complete.
-/// for (i, b) in frame.iter().enumerate() {
-///     let got = fb.feed(std::slice::from_ref(b)).unwrap();
-///     if i < frame.len() - 1 {
-///         assert!(got.is_empty());
-///     } else {
-///         assert_eq!(got, vec![b"abc".to_vec()]);
-///     }
-/// }
-/// ```
-#[derive(Debug)]
-pub struct FrameBuf {
-    buf: Vec<u8>,
-    max_frame: u32,
-}
-
-impl FrameBuf {
-    /// Creates a decoder that rejects frames larger than `max_frame`.
-    pub fn new(max_frame: u32) -> FrameBuf {
-        FrameBuf {
-            buf: Vec::new(),
-            max_frame,
-        }
-    }
-
-    /// Appends incoming bytes and returns every frame completed by them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtoError::FrameTooLarge`] if a header declares a frame
-    /// beyond the configured maximum; the decoder is then poisoned and the
-    /// connection should be dropped.
-    pub fn feed(&mut self, data: &[u8]) -> Result<Vec<Vec<u8>>, ProtoError> {
-        self.buf.extend_from_slice(data);
-        let mut out = Vec::new();
-        loop {
-            if self.buf.len() < 4 {
-                break;
-            }
-            let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
-            if len > self.max_frame {
-                return Err(ProtoError::FrameTooLarge {
-                    declared: len,
-                    max: self.max_frame,
-                });
-            }
-            let total = 4 + len as usize;
-            if self.buf.len() < total {
-                break;
-            }
-            out.push(self.buf[4..total].to_vec());
-            self.buf.drain(..total);
-        }
-        Ok(out)
-    }
-
-    /// Bytes buffered but not yet forming a complete frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-}
 
 /// Decode state of one in-flight frame.
 #[derive(Debug)]
@@ -614,41 +541,6 @@ mod tests {
             assert_eq!(&got, m);
         }
         assert!(read_frame(&mut cursor).unwrap().is_none());
-    }
-
-    #[test]
-    fn framebuf_handles_arbitrary_splits() {
-        let msgs = vec![sample(), Msg::Ack { req: RequestId(7) }];
-        let mut wire = Vec::new();
-        for m in &msgs {
-            wire.extend_from_slice(&encode_frame(m));
-        }
-        for split in 1..wire.len().min(40) {
-            let mut fb = FrameBuf::new(MAX_FRAME);
-            let mut frames = Vec::new();
-            for part in wire.chunks(split) {
-                frames.extend(fb.feed(part).unwrap());
-            }
-            assert_eq!(frames.len(), msgs.len(), "split={split}");
-            for (f, m) in frames.iter().zip(&msgs) {
-                assert_eq!(&Msg::from_wire_bytes(f).unwrap(), m);
-            }
-            assert_eq!(fb.pending(), 0);
-        }
-    }
-
-    #[test]
-    fn oversized_frame_rejected() {
-        let mut fb = FrameBuf::new(16);
-        let mut data = (17u32).to_le_bytes().to_vec();
-        data.extend_from_slice(&[0; 17]);
-        assert!(matches!(
-            fb.feed(&data),
-            Err(ProtoError::FrameTooLarge {
-                declared: 17,
-                max: 16
-            })
-        ));
     }
 
     #[test]

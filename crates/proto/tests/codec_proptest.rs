@@ -6,7 +6,6 @@ use proptest::prelude::*;
 
 use stdchk_proto::chunkmap::{ChunkEntry, ChunkMap, FileVersionView};
 use stdchk_proto::codec::Wire;
-use stdchk_proto::frame::FrameBuf;
 use stdchk_proto::ids::{ChunkId, FileId, NodeId, RequestId, ReservationId, VersionId};
 use stdchk_proto::msg::{DedupSummary, FileAttr, Msg, ReplicaCopy, Role};
 use stdchk_proto::policy::RetentionPolicy;
@@ -227,29 +226,5 @@ proptest! {
         // the log CRC (bit rot) must error, never panic or OOM.
         let _ = stdchk_proto::meta::MetaRecord::from_wire_bytes(&data);
         let _ = stdchk_proto::meta::MetaSnapshot::from_wire_bytes(&data);
-    }
-
-    #[test]
-    fn framebuf_reassembles_under_any_fragmentation(
-        msgs in proptest::collection::vec(arb_msg(), 1..5),
-        cuts in proptest::collection::vec(1usize..64, 1..32),
-    ) {
-        let mut wire = Vec::new();
-        for m in &msgs {
-            wire.extend_from_slice(&stdchk_proto::frame::encode_frame(m));
-        }
-        let mut fb = FrameBuf::new(stdchk_proto::frame::MAX_FRAME);
-        let mut frames = Vec::new();
-        let mut pos = 0usize;
-        let mut cut_iter = cuts.iter().cycle();
-        while pos < wire.len() {
-            let step = (*cut_iter.next().unwrap()).min(wire.len() - pos);
-            frames.extend(fb.feed(&wire[pos..pos + step]).unwrap());
-            pos += step;
-        }
-        prop_assert_eq!(frames.len(), msgs.len());
-        for (f, m) in frames.iter().zip(&msgs) {
-            prop_assert_eq!(&Msg::from_wire_bytes(f).unwrap(), m);
-        }
     }
 }

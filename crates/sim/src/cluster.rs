@@ -83,13 +83,6 @@ pub struct SimConfig {
     pub delta_scan_rate: f64,
     /// Application write-call size (defaults to the chunk size).
     pub app_block: u32,
-    /// User-space copy passes charged when a benefactor serves a chunk
-    /// read onto the wire (`Action::Load` with `serve`). `0` models the
-    /// zero-copy data path (`sendfile` straight from a sealed segment —
-    /// `stdchk-net`'s default); `3` approximates the copying baseline
-    /// (pread buffer → outbound flatten → socket write). Off by default so
-    /// the paper-calibrated figures are unchanged.
-    pub serve_copy_passes: u32,
     /// Fixed per-record cost of the benefactor storage engine, charged on
     /// every chunk store/load in addition to the byte transfer. Calibrated
     /// to the measured segment-log engine (`stdchk-net`'s `SegmentStore`):
@@ -145,7 +138,6 @@ impl SimConfig {
             hash_rate: 110e6,
             delta_scan_rate: 400e6,
             app_block: pool.chunk_size,
-            serve_copy_passes: 0,
             store_op_overhead: Dur::from_micros(60),
             meta_log: false,
             meta_op_overhead: Dur::from_micros(40),
@@ -337,7 +329,7 @@ struct FlowLoad {
     from: NodeId,
     to: NodeId,
     msg: Msg,
-    /// `(client index, request)` to notify with `on_put_sent`.
+    /// `(client index, request)` to notify with `Completion::SendDone`.
     notify: Option<(usize, RequestId)>,
 }
 
@@ -485,7 +477,7 @@ impl SimCluster {
             let id = NodeId(BENEF_BASE + i as u64);
             net.set_node(id, cfg.benefactor_nic, cfg.benefactor_nic);
             // Implicit registration (the manager adopts heartbeats).
-            mgr.handle_msg(
+            mgr.handle(
                 id,
                 Msg::Heartbeat {
                     node: id,
@@ -495,6 +487,10 @@ impl SimCluster {
                 },
                 Time::ZERO,
             );
+            // Set-up happens before the clock starts: the heartbeat acks
+            // and, with `meta_log`, the registration WAL records are
+            // discarded rather than charged to the network or log disk.
+            mgr.drain_actions();
             benefs.push(BenefNode {
                 sm: Benefactor::new(id, cfg.benefactor_space, bcfg.clone()),
                 disk: Disk {
@@ -984,23 +980,15 @@ impl SimCluster {
                 self.update_gate(bi);
             }
             Action::Load {
-                op,
-                chunk,
-                size,
-                serve,
+                op, chunk, size, ..
             } => {
                 let NodeRef::Benef(bi) = nr else {
                     unreachable!("chunk loads run on benefactors");
                 };
-                let mut fin = self.benefs[bi].disk.schedule(self.now, size as u64);
-                if serve && self.cfg.serve_copy_passes > 0 {
-                    // Copying-transmit data path: each pass drags the chunk
-                    // through user space once (pread buffer, outbound
-                    // flatten, socket write). The zero-copy default charges
-                    // nothing, matching sendfile-from-segment.
-                    let passes = self.cfg.serve_copy_passes as u64;
-                    fin += Dur::for_bytes(size as u64 * passes, self.cfg.memcpy_rate);
-                }
+                // Served reads cost no user-space copy: the zero-copy
+                // transmit (`sendfile` from a sealed segment) is the only
+                // data path.
+                let fin = self.benefs[bi].disk.schedule(self.now, size as u64);
                 self.schedule_at(
                     fin,
                     Ev::DiskDone(DiskKind::BenefLoad {

@@ -12,7 +12,7 @@
 //! victim's tail latency explodes.
 
 use stdchk_core::session::write::{SessionConfig, WriteProtocol};
-use stdchk_core::{BenefactorConfig, PoolConfig};
+use stdchk_core::{Action, BenefactorConfig, Node, PoolConfig};
 use stdchk_proto::chunkmap::FileVersionView;
 use stdchk_proto::ids::{ChunkId, NodeId, RequestId, VersionId};
 use stdchk_proto::msg::Msg;
@@ -104,7 +104,8 @@ pub fn version_view(
 ) -> Option<FileVersionView> {
     let now = sim.now();
     let from = NodeId(CLIENT_BASE);
-    let sends = sim.manager_mut().handle_msg(
+    let mgr = sim.manager_mut();
+    mgr.handle(
         from,
         Msg::GetFile {
             req: RequestId(u64::MAX),
@@ -113,8 +114,11 @@ pub fn version_view(
         },
         now,
     );
-    sends.into_iter().find_map(|s| match s.msg {
-        Msg::FileViewReply { view, .. } => Some(view),
+    mgr.drain_actions().into_iter().find_map(|a| match a {
+        Action::Send {
+            msg: Msg::FileViewReply { view, .. },
+            ..
+        } => Some(view),
         _ => None,
     })
 }
@@ -161,7 +165,8 @@ pub fn version_readable(sim: &mut SimCluster, path: &str, version: VersionId) ->
 pub fn committed_versions(sim: &mut SimCluster, path: &str) -> Vec<VersionId> {
     let now = sim.now();
     let from = NodeId(CLIENT_BASE);
-    let sends = sim.manager_mut().handle_msg(
+    let mgr = sim.manager_mut();
+    mgr.handle(
         from,
         Msg::ListVersions {
             req: RequestId(u64::MAX),
@@ -169,12 +174,13 @@ pub fn committed_versions(sim: &mut SimCluster, path: &str) -> Vec<VersionId> {
         },
         now,
     );
-    sends
+    mgr.drain_actions()
         .into_iter()
-        .find_map(|s| match s.msg {
-            Msg::VersionListReply { versions, .. } => {
-                Some(versions.into_iter().map(|v| v.version).collect())
-            }
+        .find_map(|a| match a {
+            Action::Send {
+                msg: Msg::VersionListReply { versions, .. },
+                ..
+            } => Some(versions.into_iter().map(|v| v.version).collect()),
             _ => None,
         })
         .unwrap_or_default()
