@@ -1253,17 +1253,16 @@ impl WriteHandle {
     /// Closes the file: drains data, commits the chunk-map, and returns the
     /// session metrics. Blocks until the commit acknowledges (for
     /// pessimistic sessions this includes reaching the replication target).
+    /// Also collects the outcome of an earlier
+    /// [`WriteHandle::start_close`].
     ///
     /// # Errors
     ///
-    /// [`GridError::SessionFailed`] if any chunk could not be stored.
+    /// [`GridError::SessionFailed`] if any chunk could not be stored,
+    /// including a session that had already failed before this call.
     pub fn finish(mut self) -> Result<WriteStats, GridError> {
         self.finished = true;
-        self.shared
-            .session
-            .lock()
-            .close(self.grid.inner.clock.now());
-        pump_session(&self.grid, &self.shared);
+        self.start_close();
         let deadline = std::time::Instant::now() + self.grid.inner.timeout;
         let mut s = self.shared.session.lock();
         loop {

@@ -9,7 +9,7 @@ use stdchk_core::session::write::{SessionConfig, WriteProtocol};
 use stdchk_core::{BenefactorConfig, PoolConfig};
 use stdchk_net::store::{ChunkStore, MemStore, SegmentStore};
 use stdchk_net::{
-    BenefactorNetConfig, BenefactorServer, Grid, GridRuntime, ManagerServer, ServerOpts,
+    BenefactorNetConfig, BenefactorServer, Grid, GridError, GridRuntime, ManagerServer, ServerOpts,
     WriteOptions,
 };
 use stdchk_proto::policy::RetentionPolicy;
@@ -372,6 +372,63 @@ fn write_survives_benefactor_death() {
             .unwrap(),
         data
     );
+}
+
+#[test]
+fn finish_collects_an_earlier_start_close() {
+    let pool = TestPool::start(1);
+    let grid = pool.grid();
+    let data = payload(200 << 10, 11);
+    let mut w = grid
+        .create("/app/closing.n0", WriteOptions::default())
+        .expect("create");
+    w.write_all(&data).expect("write");
+    w.start_close();
+    w.finish().expect("finish after start_close");
+    assert_eq!(
+        grid.open("/app/closing.n0", None)
+            .unwrap()
+            .read_all()
+            .unwrap(),
+        data
+    );
+}
+
+#[test]
+fn finish_after_session_failure_returns_the_error() {
+    let pool = TestPool::start(1);
+    let grid = pool.grid();
+    let mut w = grid
+        .create(
+            "/app/failed.n0",
+            opts(WriteProtocol::SlidingWindow { buffer: 1 << 20 }),
+        )
+        .expect("create");
+    // The only benefactor in the granted stripe dies: the first put
+    // fails, the stripe empties and the session fails.
+    pool.benefactors[0].shutdown();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut seed = 12;
+    let err = loop {
+        // Distinct chunks, so none dedups against an earlier one.
+        seed += 1;
+        if let Err(e) = w.poll_write(&payload(64 << 10, seed)) {
+            break e;
+        }
+        assert!(Instant::now() < deadline, "session never failed");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(
+        matches!(
+            err.get_ref().and_then(|e| e.downcast_ref::<GridError>()),
+            Some(GridError::SessionFailed(_))
+        ),
+        "{err}"
+    );
+    match w.finish() {
+        Err(GridError::SessionFailed(_)) => {}
+        other => panic!("finish on a failed session: {other:?}"),
+    }
 }
 
 /// Opens a segment store on `dir`, retrying while a just-dropped

@@ -144,6 +144,20 @@ mod tests {
     }
 
     #[test]
+    fn chunk_id_rejects_a_single_flipped_bit() {
+        // One byte past a power of two: 1024 whole blocks plus a 1-byte
+        // tail that the final padding block carries.
+        let data: Vec<u8> = (0..65_537u32).map(|i| (i * 131 % 251) as u8).collect();
+        let id = ChunkId::for_content(&data);
+        assert!(id.verify(&data));
+        for at in [0, data.len() / 2, data.len() - 1] {
+            let mut bad = data.clone();
+            bad[at] ^= 0x10;
+            assert!(!id.verify(&bad), "flip at byte {at} went unnoticed");
+        }
+    }
+
+    #[test]
     fn chunk_id_debug_is_short_hex() {
         let id = ChunkId::for_content(b"x");
         let s = format!("{id:?}");

@@ -3,8 +3,10 @@
 //! This crate is dependency-free and hosts the primitives every other stdchk
 //! crate builds on:
 //!
-//! - [`sha256`]: a from-scratch SHA-256 implementation used for
-//!   content-addressed chunk naming and integrity verification.
+//! - [`sha256`]: SHA-256 for content-addressed chunk naming and
+//!   integrity verification; its block compressor runs on the SHA-NI
+//!   instructions when the CPU has them (chosen at run time) and on a
+//!   portable fallback otherwise.
 //! - [`crc32`]: CRC-32C record checksums for the segment-log storage
 //!   engine's framing and torn-tail detection.
 //! - [`rolling`]: the polynomial window hashes used by the content-based
