@@ -32,24 +32,8 @@ pub struct PoolConfig {
     pub replication_batch: usize,
     /// Per-copy retry budget for failed replication transfers.
     pub replication_retries: u32,
-    /// Adapt per-file replication targets to observed churn (bounded by
-    /// [`repl_min`](Self::repl_min)/[`repl_max`](Self::repl_max) or a
-    /// directory's `SetPolicy` bounds). Off by default: targets then stay
-    /// whatever the writer requested.
-    pub adaptive_replication: bool,
-    /// Floor for adaptive replication targets.
-    pub repl_min: u32,
-    /// Ceiling for adaptive replication targets.
-    pub repl_max: u32,
-    /// Durability goal for adaptive targets, in parts-per-million: the
-    /// smallest target `r` with `1 - (1 - availability)^r` at or above this
-    /// is chosen.
-    pub target_durability_ppm: u32,
     /// Sliding window over which fleet departure rate is measured.
     pub churn_window: Dur,
-    /// Prioritize and rate-limit repair traffic. When off, replication is
-    /// pumped unthrottled in FIFO order (the pre-scheduler behaviour).
-    pub repair_scheduler: bool,
     /// Repair read budget per source benefactor, bytes/sec (0 = unlimited).
     pub repair_rate_source: u64,
     /// Fleet-wide repair budget, bytes/sec (0 = unlimited).
@@ -76,12 +60,7 @@ impl Default for PoolConfig {
             max_replication_jobs: 8,
             replication_batch: 64,
             replication_retries: 3,
-            adaptive_replication: false,
-            repl_min: 1,
-            repl_max: 4,
-            target_durability_ppm: 999_000,
             churn_window: Dur::from_secs(600),
-            repair_scheduler: true,
             repair_rate_source: 25 << 20,
             repair_rate_fleet: 100 << 20,
             repair_burst: 16 << 20,
@@ -106,16 +85,6 @@ impl PoolConfig {
             guidance_min: Dur::from_millis(100),
             ..PoolConfig::default()
         }
-    }
-
-    /// Applies process-environment overrides. `STDCHK_REPAIR_SCHED=off`
-    /// reverts to unthrottled FIFO repair — the A/B baseline the churn
-    /// bench compares against.
-    pub fn apply_env(mut self) -> PoolConfig {
-        if std::env::var("STDCHK_REPAIR_SCHED").as_deref() == Ok("off") {
-            self.repair_scheduler = false;
-        }
-        self
     }
 }
 

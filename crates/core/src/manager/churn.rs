@@ -2,14 +2,9 @@
 //! departure-rate estimation.
 //!
 //! The manager watches benefactor arrivals and heartbeat expiries and
-//! distills them into two estimates the rest of the system consumes:
-//!
-//! * an **availability estimate** — the fraction of time a node of each
-//!   class (stable vs. volatile, split by mean session length) is online —
-//!   which drives the adaptive replication target (`1 - (1-a)^r ≥ goal`),
-//! * a **departure rate** (failures/sec/node over a sliding window) which
-//!   drives checkpoint-interval guidance via Young's approximation
-//!   `t_opt = sqrt(2·δ/λ)`.
+//! distills them into a **departure rate** (failures/sec/node over a
+//! sliding window), which drives checkpoint-interval guidance via Young's
+//! approximation `t_opt = sqrt(2·δ/λ)`.
 //!
 //! Session *totals* are durable: every expiry logs a
 //! [`MetaRecord::Churn`](stdchk_proto::meta::MetaRecord::Churn) record and
@@ -32,73 +27,12 @@ pub struct ChurnTotals {
     pub session_time: Dur,
 }
 
-/// Coarse node classification by observed session behaviour. Nodes whose
-/// mean session is long (or that never departed) are `Stable`; the rest
-/// are `Volatile`. Availability is estimated per class so a fleet of
-/// reliable lab machines is not penalized for a handful of flappers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeClass {
-    /// Long mean sessions; treated as highly available.
-    Stable,
-    /// Short mean sessions; replication targets inflate to compensate.
-    Volatile,
-}
-
-/// Mean session length below which a node counts as [`NodeClass::Volatile`].
-const VOLATILE_SESSION: Dur = Dur::from_secs(15 * 60);
-
-/// Availability floor: even a permanently-flapping node is assumed online
-/// a sliver of the time, keeping `1-(1-a)^r` solvable.
-const MIN_AVAILABILITY_PPM: u64 = 50_000; // 5%
-
-#[derive(Clone, Debug, Default)]
-struct NodeChurn {
-    /// Start of the current online session, if online.
-    online_since: Option<Time>,
-    /// Completed sessions and their summed length.
-    sessions: u64,
-    session_time: Dur,
-    /// Observed offline time (gap between expiry and return).
-    offline_since: Option<Time>,
-    offline_time: Dur,
-}
-
-impl NodeChurn {
-    fn class(&self) -> NodeClass {
-        if self.sessions == 0 {
-            return NodeClass::Stable;
-        }
-        let mean = self.session_time.as_nanos() / self.sessions.max(1);
-        if mean < VOLATILE_SESSION.as_nanos() {
-            NodeClass::Volatile
-        } else {
-            NodeClass::Stable
-        }
-    }
-
-    /// Fraction of observed time this node was online, in ppm.
-    fn availability_ppm(&self, now: Time) -> u64 {
-        let mut online = self.session_time;
-        if let Some(since) = self.online_since {
-            online += now - since;
-        }
-        let mut offline = self.offline_time;
-        if let Some(since) = self.offline_since {
-            offline += now - since;
-        }
-        let total = online.as_nanos() + offline.as_nanos();
-        if total == 0 {
-            return 1_000_000;
-        }
-        ((online.as_nanos() as u128 * 1_000_000) / total as u128) as u64
-    }
-}
-
-/// Observes joins/heartbeats/expiries and answers availability and
-/// departure-rate queries.
+/// Observes joins/heartbeats/expiries and answers departure-rate
+/// queries.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ChurnTracker {
-    nodes: BTreeMap<NodeId, NodeChurn>,
+    /// Start of each online node's current session.
+    online_since: BTreeMap<NodeId, Time>,
     /// Departure timestamps inside the sliding window, oldest first.
     window: VecDeque<Time>,
     totals: ChurnTotals,
@@ -108,40 +42,25 @@ impl ChurnTracker {
     /// Marks `node` online at `now` (join, adoption, or first/returning
     /// heartbeat). Idempotent while the node stays online.
     pub fn note_online(&mut self, node: NodeId, now: Time) {
-        let n = self.nodes.entry(node).or_default();
-        if n.online_since.is_some() {
-            return;
-        }
-        if let Some(since) = n.offline_since.take() {
-            n.offline_time += now - since;
-        }
-        n.online_since = Some(now);
+        self.online_since.entry(node).or_insert(now);
     }
 
     /// Marks `node` departed at `now`, returning the completed session
     /// length (what the durable `MetaRecord::Churn` record carries).
     pub fn note_departure(&mut self, node: NodeId, now: Time) -> Dur {
-        let n = self.nodes.entry(node).or_default();
-        let session = match n.online_since.take() {
-            Some(since) => now - since,
-            None => Dur::ZERO,
-        };
-        n.sessions += 1;
-        n.session_time += session;
-        n.offline_since = Some(now);
+        let session = self
+            .online_since
+            .remove(&node)
+            .map_or(Dur::ZERO, |since| now - since);
         self.window.push_back(now);
         self.totals.departures += 1;
         self.totals.session_time += session;
         session
     }
 
-    /// Folds a replayed durable churn record into the totals (and the
-    /// per-node ledger, so classification survives restarts). The sliding
+    /// Folds a replayed durable churn record into the totals. The sliding
     /// window is deliberately not reconstructed.
-    pub fn fold(&mut self, node: NodeId, session: Dur) {
-        let n = self.nodes.entry(node).or_default();
-        n.sessions += 1;
-        n.session_time += session;
+    pub fn fold(&mut self, session: Dur) {
         self.totals.departures += 1;
         self.totals.session_time += session;
     }
@@ -149,44 +68,6 @@ impl ChurnTracker {
     /// Durable totals.
     pub fn totals(&self) -> ChurnTotals {
         self.totals
-    }
-
-    /// The class of `node` (unknown nodes default to stable).
-    pub fn class_of(&self, node: NodeId) -> NodeClass {
-        self.nodes
-            .get(&node)
-            .map(|n| n.class())
-            .unwrap_or(NodeClass::Stable)
-    }
-
-    /// Mean availability (ppm) over nodes of `class`, or `None` when no
-    /// node of that class has been observed.
-    pub fn class_availability_ppm(&self, class: NodeClass, now: Time) -> Option<u64> {
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        for n in self.nodes.values() {
-            if n.class() == class {
-                sum += n.availability_ppm(now);
-                count += 1;
-            }
-        }
-        (count > 0).then(|| (sum / count).max(MIN_AVAILABILITY_PPM))
-    }
-
-    /// Fleet-wide availability estimate in ppm: the mean over all observed
-    /// nodes, floored so the adaptive target stays solvable. An empty
-    /// fleet reads as fully available.
-    pub fn availability_ppm(&self, now: Time) -> u64 {
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        for n in self.nodes.values() {
-            sum += n.availability_ppm(now);
-            count += 1;
-        }
-        if count == 0 {
-            return 1_000_000;
-        }
-        (sum / count).max(MIN_AVAILABILITY_PPM)
     }
 
     /// Departures per second per node over the trailing `window`, scaled
@@ -216,35 +97,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sessions_accumulate_and_classify() {
+    fn sessions_accumulate_into_totals() {
         let mut c = ChurnTracker::default();
         let n = NodeId(1);
         c.note_online(n, Time::from_secs(0));
-        assert_eq!(c.class_of(n), NodeClass::Stable);
+        // A heartbeat while online does not restart the session.
+        c.note_online(n, Time::from_secs(30));
         let s = c.note_departure(n, Time::from_secs(60));
         assert_eq!(s, Dur::from_secs(60));
-        // One 60s session → mean well under the volatile threshold.
-        assert_eq!(c.class_of(n), NodeClass::Volatile);
-        assert_eq!(c.totals().departures, 1);
-        assert_eq!(c.totals().session_time, Dur::from_secs(60));
-    }
-
-    #[test]
-    fn availability_tracks_online_fraction() {
-        let mut c = ChurnTracker::default();
-        let n = NodeId(1);
-        c.note_online(n, Time::from_secs(0));
-        c.note_departure(n, Time::from_secs(75));
         c.note_online(n, Time::from_secs(100));
-        // 75s online out of 100s observed.
-        let a = c.availability_ppm(Time::from_secs(100));
-        assert_eq!(a, 750_000);
-    }
-
-    #[test]
-    fn empty_fleet_is_fully_available() {
-        let c = ChurnTracker::default();
-        assert_eq!(c.availability_ppm(Time::from_secs(5)), 1_000_000);
+        assert_eq!(
+            c.note_departure(n, Time::from_secs(110)),
+            Dur::from_secs(10)
+        );
+        assert_eq!(c.totals().departures, 2);
+        assert_eq!(c.totals().session_time, Dur::from_secs(70));
     }
 
     #[test]
@@ -267,9 +134,9 @@ mod tests {
     #[test]
     fn fold_restores_totals_without_window() {
         let mut c = ChurnTracker::default();
-        c.fold(NodeId(3), Dur::from_secs(30));
+        c.fold(Dur::from_secs(30));
         assert_eq!(c.totals().departures, 1);
-        assert_eq!(c.class_of(NodeId(3)), NodeClass::Volatile);
+        assert_eq!(c.totals().session_time, Dur::from_secs(30));
         assert!(c
             .departure_rate_ppb(Time::from_secs(1), Dur::from_secs(60), 4)
             .is_none());

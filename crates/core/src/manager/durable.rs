@@ -71,11 +71,6 @@ impl Manager {
                 })
                 .collect(),
             dirs: self.dirs.iter().map(|(d, p)| (d.clone(), *p)).collect(),
-            repl_bounds: self
-                .repl_bounds
-                .iter()
-                .map(|(d, b)| (d.clone(), *b))
-                .collect(),
             chunks: self
                 .chunks
                 .iter()
@@ -104,9 +99,6 @@ impl Manager {
         }
         for (dir, policy) in &snap.dirs {
             mgr.dirs.insert(dir.clone(), *policy);
-        }
-        for (dir, bounds) in &snap.repl_bounds {
-            mgr.repl_bounds.insert(dir.clone(), *bounds);
         }
         for c in &snap.chunks {
             mgr.chunks.insert(
@@ -219,24 +211,17 @@ impl Manager {
                 self.drop_versions(path, &all, &mut scratch);
                 self.files.remove(path);
             }
-            MetaRecord::SetPolicy {
-                dir,
-                policy,
-                repl_bounds,
-            } => {
+            MetaRecord::SetPolicy { dir, policy } => {
                 self.dirs.insert(dir.clone(), *policy);
-                if let Some(bounds) = repl_bounds {
-                    self.repl_bounds.insert(dir.clone(), *bounds);
-                }
             }
             MetaRecord::Benefactor { node, addr, total } => {
                 self.adopt_benefactor(*node, addr.clone(), *total, now);
             }
-            MetaRecord::Churn { node, session } => {
+            MetaRecord::Churn { session, .. } => {
                 // Rebuild the durable churn ledger; the sliding departure
                 // window stays empty (stale departures must not throttle a
                 // freshly restarted manager).
-                self.churn.fold(*node, *session);
+                self.churn.fold(*session);
             }
             MetaRecord::Dedup { summary, .. } => {
                 // Rebuild the wire-savings ledger only; commit counts and
@@ -264,6 +249,9 @@ impl Manager {
         if !addr.is_empty() {
             info.addr = addr;
         }
+        // A newly adopted id is online, so chunks listing it may gain a
+        // live holder.
+        self.repair_keys_stale = true;
         self.churn.note_online(node, now);
         self.next_node = self.next_node.max(node.as_u64() + 1);
     }
@@ -273,6 +261,8 @@ impl Manager {
     /// referencing version for repair prioritization.
     fn incref_map(&mut self, map: &ChunkMap, version: VersionId) {
         let sizes: HashMap<ChunkId, u32> = map.entries().iter().map(|e| (e.id, e.size)).collect();
+        // Newest versions feed the repair keys.
+        self.repair_keys_stale = true;
         for id in map.distinct_chunks() {
             let meta = self.chunks.entry(id).or_insert_with(|| ChunkMeta {
                 size: *sizes.get(&id).expect("entry size"),

@@ -19,9 +19,6 @@ impl Manager {
         if now.since(self.last_policy_sweep) >= self.cfg.policy_sweep_every {
             self.last_policy_sweep = now;
             self.policy_sweep(now, out);
-            if self.cfg.adaptive_replication {
-                self.adapt_replication_targets(now);
-            }
         }
         if now.since(self.last_gc_mark) >= self.cfg.gc_every {
             self.last_gc_mark = now;
@@ -45,7 +42,9 @@ impl Manager {
                 b.online = false;
                 b.gc_due = false;
             }
-            // One online session ended: feed the churn estimators and make
+            // Chunks it held lose a live replica.
+            self.repair_keys_stale = true;
+            // One online session ended: feed the departure rate and make
             // the session durable (replay folds it back into the totals).
             let session = self.churn.note_departure(node, now);
             self.log_meta(out, || MetaRecord::Churn { node, session });
@@ -109,63 +108,7 @@ impl Manager {
         }
     }
 
-    // ---------------------------------------------------- churn adaptation
-
-    /// Recomputes every live chunk's replication target from observed
-    /// fleet availability (Ni & Harwood-style adaptive replication): the
-    /// per-file target is the smallest `r` within the file's bounds with
-    /// `1 - (1-a)^r` at or above the configured durability goal, and a
-    /// chunk's target is the max over the files referencing it. Targets
-    /// move both ways — calm fleets shed replicas through GC, churny
-    /// fleets grow them through the repair queue.
-    pub(crate) fn adapt_replication_targets(&mut self, now: Time) {
-        let avail = (self.churn.availability_ppm(now) as f64 / 1e6).clamp(0.0, 1.0);
-        let goal = (self.cfg.target_durability_ppm as f64 / 1e6).clamp(0.0, 1.0);
-        let mut desired: std::collections::HashMap<ChunkId, u32> = Default::default();
-        for (path, file) in &self.files {
-            let (lo, hi) = self.repl_bounds_for(path);
-            let r = Manager::target_for(avail, goal, lo, hi);
-            for v in &file.versions {
-                for id in v.map.distinct_chunks() {
-                    let e = desired.entry(id).or_insert(r);
-                    *e = (*e).max(r);
-                }
-            }
-        }
-        let mut under = Vec::new();
-        for (id, r) in desired {
-            let Some(meta) = self.chunks.get_mut(&id) else {
-                continue;
-            };
-            if meta.refcount == 0 {
-                continue;
-            }
-            meta.target = r;
-            under.push(id);
-        }
-        under.sort_unstable();
-        for id in under {
-            let meta = &self.chunks[&id];
-            let effective = (meta.target as usize).min(self.online_benefactors().max(1));
-            let online = self.online_locations(&meta.locations);
-            if online > 0 && online < effective {
-                self.enqueue_replication(id);
-            }
-        }
-    }
-
-    /// Smallest replica count in `[lo, hi]` meeting the durability goal
-    /// under per-replica availability `avail` (falls back to `hi` when
-    /// even the ceiling can't meet it).
-    fn target_for(avail: f64, goal: f64, lo: u32, hi: u32) -> u32 {
-        let u = (1.0 - avail).clamp(0.0, 1.0);
-        for r in lo..=hi {
-            if 1.0 - u.powi(r as i32) >= goal {
-                return r;
-            }
-        }
-        hi
-    }
+    // ---------------------------------------------------- churn guidance
 
     /// Suggested checkpoint interval via Young's approximation
     /// `t = sqrt(2·δ/λ)`, where `δ` is the observed checkpoint write
@@ -356,6 +299,7 @@ impl Manager {
                     // returning benefactor's replicas rejoin the metadata.
                     if !meta.locations.contains(&node) {
                         meta.locations.push(node);
+                        self.repair_keys_stale = true;
                         relearned.push(id);
                     }
                 }

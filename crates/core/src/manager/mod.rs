@@ -21,9 +21,10 @@ mod maintain;
 mod replicate;
 mod write;
 
+pub use churn::ChurnTotals;
 pub(crate) use churn::ChurnTracker;
-pub use churn::{ChurnTotals, NodeClass};
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use stdchk_proto::chunkmap::{ChunkMap, FileVersionView};
@@ -116,8 +117,8 @@ pub(crate) struct FileState {
 
 #[derive(Clone, Debug)]
 pub(crate) struct ChunkMeta {
-    /// Recorded for capacity accounting and GC diagnostics.
-    #[allow(dead_code)]
+    /// Chunk size in bytes: what a repair copy charges against the
+    /// repair token buckets, and what snapshots record.
     pub size: u32,
     pub locations: Vec<NodeId>,
     pub refcount: u32,
@@ -156,16 +157,23 @@ pub(crate) struct Reservation {
     pub pinned: Vec<ChunkId>,
 }
 
+/// A queued repair's dispatch priority: fewest live replicas first, then
+/// the newest referencing version (see [`Manager::repair_key`]).
+pub(crate) type RepairKey = (usize, Reverse<u64>);
+
 #[derive(Clone, Debug)]
 pub(crate) struct ReplTask {
     pub chunk: ChunkId,
     pub attempts: u32,
+    /// Priority stored when the task was queued, refreshed by the pump
+    /// whenever [`Manager::repair_keys_stale`] is set.
+    pub key: RepairKey,
 }
 
 #[derive(Clone, Debug)]
 pub(crate) struct ReplJob {
-    /// Source benefactor executing the copies (diagnostics).
-    #[allow(dead_code)]
+    /// Source benefactor executing the copies; its expiry re-queues
+    /// them.
     pub source: NodeId,
     pub copies: Vec<(ChunkId, NodeId)>,
     /// Retry attempt each copy was dispatched at (for failure budgets).
@@ -204,12 +212,14 @@ pub struct Manager {
     pub(crate) rr_cursor: usize,
     pub(crate) files: BTreeMap<String, FileState>,
     pub(crate) dirs: BTreeMap<String, RetentionPolicy>,
-    /// Per-directory `(min, max)` clamps for adaptive replication targets
-    /// (durable via `MetaRecord::SetPolicy`).
-    pub(crate) repl_bounds: BTreeMap<String, (u32, u32)>,
     pub(crate) chunks: HashMap<ChunkId, ChunkMeta>,
     pub(crate) reservations: HashMap<ReservationId, Reservation>,
     pub(crate) repl_queue: VecDeque<ReplTask>,
+    /// Set when a key input of a possibly queued chunk changed (its
+    /// locations or newest version, or a holder's liveness), so the
+    /// stored [`ReplTask::key`]s may be out of date. A replicate report's
+    /// new location needs no mark: its chunk is in a job, not queued.
+    pub(crate) repair_keys_stale: bool,
     pub(crate) repl_jobs: HashMap<u64, ReplJob>,
     pub(crate) pending_commits: Vec<PendingCommit>,
     pub(crate) reoffers: HashMap<String, Vec<Reoffer>>,
@@ -236,7 +246,7 @@ pub struct Manager {
 impl Manager {
     /// Creates a manager for an empty pool.
     pub fn new(cfg: PoolConfig) -> Manager {
-        let repair_fleet = (cfg.repair_scheduler && cfg.repair_rate_fleet > 0).then(|| {
+        let repair_fleet = (cfg.repair_rate_fleet > 0).then(|| {
             TokenBucket::new(cfg.repair_rate_fleet as f64, cfg.repair_burst.max(1) as f64)
         });
         Manager {
@@ -250,10 +260,10 @@ impl Manager {
             rr_cursor: 0,
             files: BTreeMap::new(),
             dirs: BTreeMap::new(),
-            repl_bounds: BTreeMap::new(),
             chunks: HashMap::new(),
             reservations: HashMap::new(),
             repl_queue: VecDeque::new(),
+            repair_keys_stale: false,
             repl_jobs: HashMap::new(),
             pending_commits: Vec::new(),
             reoffers: HashMap::new(),
@@ -320,22 +330,6 @@ impl Manager {
     /// Durable churn totals (departure count, summed session time).
     pub fn churn_totals(&self) -> ChurnTotals {
         self.churn.totals()
-    }
-
-    /// Current fleet availability estimate, parts-per-million.
-    pub fn availability_ppm(&self, now: Time) -> u64 {
-        self.churn.availability_ppm(now)
-    }
-
-    /// The churn class the manager currently assigns to `node`.
-    pub fn node_class(&self, node: NodeId) -> NodeClass {
-        self.churn.class_of(node)
-    }
-
-    /// Availability estimate restricted to one node class, or `None` when
-    /// no node of that class has been observed.
-    pub fn class_availability_ppm(&self, class: NodeClass, now: Time) -> Option<u64> {
-        self.churn.class_availability_ppm(class, now)
     }
 
     /// Under-replicated chunks awaiting repair dispatch (scheduler backlog).
@@ -425,12 +419,7 @@ impl Manager {
             Msg::GetAttr { req, path } => self.on_get_attr(from, req, &path, out),
             Msg::ListVersions { req, path } => self.on_list_versions(from, req, &path, out),
             Msg::DeleteFile { req, path } => self.on_delete_file(from, req, &path, out),
-            Msg::SetPolicy {
-                req,
-                dir,
-                policy,
-                repl_bounds,
-            } => self.on_set_policy(from, req, dir, policy, repl_bounds, out),
+            Msg::SetPolicy { req, dir, policy } => self.on_set_policy(from, req, dir, policy, out),
             Msg::GcReport { req, node, chunks } => self.on_gc_report(req, node, chunks, now, out),
             Msg::ReplicateReport {
                 job,
@@ -500,6 +489,9 @@ impl Manager {
             },
         );
         self.churn.note_online(node, now);
+        // Placements may name an id before the manager knows it, so a
+        // queued chunk can gain a live holder.
+        self.repair_keys_stale = true;
         // The id assignment and dial address are durable; liveness stays
         // soft state (heartbeats).
         self.log_meta(out, || MetaRecord::Benefactor {
@@ -562,6 +554,8 @@ impl Manager {
         let gc_due = info.gc_due;
         if !known || was_offline {
             self.churn.note_online(node, now);
+            // Chunks already listing this node gain a live holder.
+            self.repair_keys_stale = true;
         }
         self.next_node = self.next_node.max(node.as_u64() + 1);
         if !known || addr_changed || total_changed {
@@ -874,7 +868,10 @@ impl Manager {
 
     /// Invariant checks used by tests and the simulator's self-audit:
     /// chunk refcounts equal the number of version references; no committed
-    /// chunk lost its metadata; reservations only reserve on known nodes.
+    /// chunk lost its metadata; reservations only reserve on known nodes;
+    /// a chunk is queued for repair at most once and never while one of
+    /// its copies is in flight, and unless marked stale every stored
+    /// repair key matches current metadata.
     pub fn check_invariants(&self) {
         let mut expected: HashMap<ChunkId, u32> = HashMap::new();
         for f in self.files.values() {
@@ -921,6 +918,26 @@ impl Manager {
                 assert!(
                     self.benefactors.contains_key(node),
                     "reservation on unknown node {node}"
+                );
+            }
+        }
+        let mut queued = HashSet::new();
+        for t in &self.repl_queue {
+            assert!(queued.insert(t.chunk), "chunk {} queued twice", t.chunk);
+            if !self.repair_keys_stale {
+                assert_eq!(
+                    t.key,
+                    self.repair_key(&t.chunk),
+                    "stale repair key for {}",
+                    t.chunk
+                );
+            }
+        }
+        for j in self.repl_jobs.values() {
+            for (chunk, _) in &j.copies {
+                assert!(
+                    !queued.contains(chunk),
+                    "chunk {chunk} both queued and in a job"
                 );
             }
         }

@@ -7,6 +7,7 @@
 //! enforced here by bounding concurrent jobs, and at the data plane by the
 //! `background` flag on replication `PutChunk`s (lower network priority).
 
+use std::cmp::Reverse;
 use std::collections::HashSet;
 
 use stdchk_proto::ids::{ChunkId, NodeId};
@@ -14,7 +15,7 @@ use stdchk_proto::msg::{Msg, ReplicaCopy};
 use stdchk_util::rate::TokenBucket;
 use stdchk_util::{Dur, Time};
 
-use super::{Manager, ReplJob, ReplTask};
+use super::{Manager, RepairKey, ReplJob, ReplTask};
 use crate::node::ActionQueue;
 
 impl Manager {
@@ -23,6 +24,29 @@ impl Manager {
             .iter()
             .filter(|n| self.benefactors.get(n).map(|b| b.online).unwrap_or(false))
             .count()
+    }
+
+    /// The repair priority of `chunk` from current metadata: its live
+    /// replica count, then its newest referencing version (recent
+    /// checkpoints are the ones restarts read). A pruned chunk sorts last;
+    /// `plan_task` drops it.
+    pub(crate) fn repair_key(&self, chunk: &ChunkId) -> RepairKey {
+        match self.chunks.get(chunk) {
+            Some(meta) => (
+                self.online_locations(&meta.locations),
+                Reverse(meta.last_version),
+            ),
+            None => (usize::MAX, Reverse(0)),
+        }
+    }
+
+    fn queue_task(&mut self, chunk: ChunkId, attempts: u32) {
+        let key = self.repair_key(&chunk);
+        self.repl_queue.push_back(ReplTask {
+            chunk,
+            attempts,
+            key,
+        });
     }
 
     /// Queues a chunk for replication (idempotent per queue pass).
@@ -37,7 +61,7 @@ impl Manager {
         {
             return;
         }
-        self.repl_queue.push_back(ReplTask { chunk, attempts: 0 });
+        self.queue_task(chunk, 0);
     }
 
     /// Re-queues a chunk whose in-flight job died (source expiry), keeping
@@ -51,84 +75,17 @@ impl Manager {
         {
             return;
         }
-        self.repl_queue.push_back(ReplTask { chunk, attempts });
+        self.queue_task(chunk, attempts);
     }
 
     /// Dispatches queued replication tasks into jobs, respecting the
-    /// concurrency bound. With the repair scheduler on (the default) the
-    /// queue is drained in priority order under token-bucket budgets;
-    /// `STDCHK_REPAIR_SCHED=off` style configs fall back to unthrottled
-    /// FIFO dispatch.
+    /// concurrency bound: the queue drains in priority order,
+    /// fewest-live-replicas chunks first (newest checkpoint version
+    /// breaking ties), and every copy is charged against a fleet-wide
+    /// bucket plus a per-source bucket so a rebuild storm never saturates
+    /// donors that are also serving ingest. Throttled work stays queued
+    /// and [`Manager::poll_timeout`] wakes the driver when tokens accrue.
     pub(crate) fn pump_replication(&mut self, now: Time, out: &mut ActionQueue) {
-        if self.cfg.repair_scheduler {
-            self.pump_scheduled(now, out);
-        } else {
-            self.pump_fifo(out);
-        }
-    }
-
-    /// Pre-scheduler dispatch: FIFO order, no pacing.
-    fn pump_fifo(&mut self, out: &mut ActionQueue) {
-        while self.repl_jobs.len() < self.cfg.max_replication_jobs && !self.repl_queue.is_empty() {
-            // Build one job: pick the first actionable task, then batch more
-            // tasks that share its source.
-            let mut job_source: Option<NodeId> = None;
-            let mut copies: Vec<(ChunkId, NodeId)> = Vec::new();
-            let mut attempts: std::collections::HashMap<ChunkId, u32> = Default::default();
-            let mut skipped: Vec<ReplTask> = Vec::new();
-            while let Some(task) = self.repl_queue.pop_front() {
-                match self.plan_task(&task, job_source) {
-                    Plan::Copy { source, target } => {
-                        job_source = Some(source);
-                        copies.push((task.chunk, target));
-                        attempts.insert(task.chunk, task.attempts);
-                        if copies.len() >= self.cfg.replication_batch {
-                            break;
-                        }
-                    }
-                    Plan::Defer => skipped.push(task),
-                    Plan::Drop => {
-                        // Unrecoverable (no source or no possible target):
-                        // unblock any pessimistic commit waiting on it.
-                        self.resolve_waiting_chunk(task.chunk, out);
-                    }
-                }
-            }
-            for t in skipped {
-                self.repl_queue.push_back(t);
-            }
-            let Some(source) = job_source else { break };
-            let job = self.next_job;
-            self.next_job += 1;
-            self.stats.replication_copies += copies.len() as u64;
-            self.repl_jobs.insert(
-                job,
-                ReplJob {
-                    source,
-                    copies: copies.clone(),
-                    attempts,
-                },
-            );
-            out.send(
-                source,
-                Msg::ReplicateCmd {
-                    job,
-                    copies: copies
-                        .into_iter()
-                        .map(|(chunk, target)| ReplicaCopy { chunk, target })
-                        .collect(),
-                },
-            );
-        }
-    }
-
-    /// Prioritized, rate-limited dispatch: fewest-live-replicas chunks go
-    /// first (newest checkpoint version breaking ties), and every copy is
-    /// charged against a fleet-wide bucket plus a per-source bucket so a
-    /// rebuild storm never saturates donors that are also serving ingest.
-    /// Throttled work stays queued and [`Manager::poll_timeout`] wakes the
-    /// driver when tokens accrue.
-    fn pump_scheduled(&mut self, now: Time, out: &mut ActionQueue) {
         self.next_repair_at = None;
         self.prioritize_repair_queue();
         let mut fleet_blocked = false;
@@ -202,19 +159,18 @@ impl Manager {
         }
     }
 
-    /// Sorts the repair queue by urgency: fewest live replicas first, then
-    /// newest referencing version (recent checkpoints are the ones restarts
-    /// read). Pruned chunks sink to the back; `plan_task` drops them.
+    /// Sorts the repair queue by its stored keys, recomputing them first
+    /// only if a key input changed since the last pump. The sort is
+    /// stable, so equal keys keep their queue order.
     fn prioritize_repair_queue(&mut self) {
-        let mut tasks: Vec<ReplTask> = std::mem::take(&mut self.repl_queue).into();
-        tasks.sort_by_key(|t| match self.chunks.get(&t.chunk) {
-            Some(meta) => (
-                self.online_locations(&meta.locations),
-                std::cmp::Reverse(meta.last_version),
-            ),
-            None => (usize::MAX, std::cmp::Reverse(0)),
-        });
-        self.repl_queue = tasks.into();
+        if std::mem::take(&mut self.repair_keys_stale) {
+            let mut queue = std::mem::take(&mut self.repl_queue);
+            for t in &mut queue {
+                t.key = self.repair_key(&t.chunk);
+            }
+            self.repl_queue = queue;
+        }
+        self.repl_queue.make_contiguous().sort_by_key(|t| t.key);
     }
 
     /// Charges one copy of `size` bytes against the fleet and per-source
@@ -316,10 +272,7 @@ impl Manager {
             let attempts = 1 + job_state.attempts.get(&c.chunk).copied().unwrap_or(0);
             if attempts <= self.cfg.replication_retries {
                 self.repl_queue.retain(|t| t.chunk != c.chunk);
-                self.repl_queue.push_back(ReplTask {
-                    chunk: c.chunk,
-                    attempts,
-                });
+                self.queue_task(c.chunk, attempts);
             } else {
                 self.resolve_waiting_chunk(c.chunk, out);
             }

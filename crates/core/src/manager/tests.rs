@@ -661,7 +661,6 @@ fn automated_replace_prunes_on_commit() {
             req,
             dir: "/app".into(),
             policy: RetentionPolicy::REPLACE,
-            repl_bounds: None,
         },
         h.now,
     );
@@ -707,7 +706,6 @@ fn automated_purge_drops_old_versions_via_tick() {
             policy: RetentionPolicy::AutomatedPurge {
                 after: Dur::from_millis(200),
             },
-            repl_bounds: None,
         },
         h.now,
     );
@@ -930,7 +928,7 @@ fn gc_mark_sets_due_flag_delivered_in_heartbeat_ack() {
 
 use stdchk_proto::meta::MetaRecord;
 
-use crate::manager::{ChunkMeta, ReplTask};
+use crate::manager::ChunkMeta;
 
 impl Harness {
     fn with_config(cfg: PoolConfig) -> Harness {
@@ -957,13 +955,18 @@ fn throttled_cfg() -> PoolConfig {
     }
 }
 
-fn total_copies(out: &[Reply]) -> usize {
+/// The chunks of every copy order in `out`, in dispatch order.
+fn dispatched(out: &[Reply]) -> Vec<ChunkId> {
     out.iter()
-        .map(|s| match &s.msg {
-            Msg::ReplicateCmd { copies, .. } => copies.len(),
-            _ => 0,
+        .flat_map(|s| match &s.msg {
+            Msg::ReplicateCmd { copies, .. } => copies.iter().map(|c| c.chunk).collect(),
+            _ => Vec::new(),
         })
-        .sum()
+        .collect()
+}
+
+fn total_copies(out: &[Reply]) -> usize {
+    dispatched(out).len()
 }
 
 /// Commits two 1 KiB chunks placed on `nodes[0]` only, under replication 2,
@@ -1041,22 +1044,6 @@ fn throttled_repair_sets_wake_time_and_resumes_on_refill() {
 }
 
 #[test]
-fn scheduler_off_env_reverts_to_unthrottled_fifo() {
-    assert!(PoolConfig::default().repair_scheduler);
-    std::env::set_var("STDCHK_REPAIR_SCHED", "off");
-    let cfg = throttled_cfg().apply_env();
-    std::env::remove_var("STDCHK_REPAIR_SCHED");
-    assert!(!cfg.repair_scheduler);
-    // The same commit the scheduler throttles to one copy dispatches both
-    // immediately on the legacy FIFO path.
-    let mut h = Harness::with_config(cfg);
-    let nodes = h.join_benefactors(3);
-    let out = commit_two_underreplicated(&mut h, &nodes);
-    assert_eq!(total_copies(&out), 2, "FIFO path ignores budgets: {out:?}");
-    assert_eq!(h.mgr.repair_backlog(), 0);
-}
-
-#[test]
 fn repair_queue_orders_by_liveness_then_recency() {
     let mut cfg = PoolConfig::fast_for_tests();
     cfg.replication_batch = 1; // one copy per job → dispatch order is visible
@@ -1082,27 +1069,185 @@ fn repair_queue_orders_by_liveness_then_recency() {
         .chunks
         .insert(ChunkId::test_id(3), meta(&[nodes[0]], 7));
     for id in [1, 2, 3] {
-        h.mgr.repl_queue.push_back(ReplTask {
-            chunk: ChunkId::test_id(id),
-            attempts: 0,
-        });
+        h.mgr.enqueue_replication(ChunkId::test_id(id));
     }
     let out = h.advance(Dur::from_millis(10));
-    let order: Vec<ChunkId> = out
-        .iter()
-        .filter_map(|s| match &s.msg {
-            Msg::ReplicateCmd { copies, .. } => Some(copies[0].chunk),
-            _ => None,
-        })
-        .collect();
     assert_eq!(
-        order,
+        dispatched(&out),
         vec![
             ChunkId::test_id(3), // 1 live replica, newest version
             ChunkId::test_id(1), // 1 live replica, older version
             ChunkId::test_id(2), // 2 live replicas
         ]
     );
+}
+
+/// Fleet budget of one 1 KiB copy per second with no burst beyond it,
+/// one copy per job, and a short liveness timeout: every pump dispatches
+/// at most the head of the repair queue.
+fn one_copy_per_second() -> PoolConfig {
+    PoolConfig {
+        repair_rate_fleet: 1024,
+        repair_burst: 1024,
+        repair_rate_source: 0,
+        replication_batch: 1,
+        heartbeat_every: Dur::from_secs(1),
+        benefactor_timeout: Dur::from_secs(5),
+        policy_sweep_every: Dur::from_secs(600),
+        gc_every: Dur::from_secs(600),
+        ..PoolConfig::default()
+    }
+}
+
+/// Commits 1 KiB chunk `id` as the only chunk of a new replication-3
+/// file, placed on `holders`.
+fn commit_chunk(h: &mut Harness, id: u64, holders: &[NodeId]) -> Vec<Reply> {
+    let (res, _, _, _) = h.open(&format!("/rekey/{id}"), 3);
+    let req = h.req();
+    h.mgr.handle(
+        NodeId(77),
+        Msg::CommitChunkMap {
+            req,
+            reservation: res,
+            entries: entries(&[id], 1024),
+            placements: vec![(ChunkId::test_id(id), holders.to_vec())],
+            pessimistic: false,
+            dedup: Default::default(),
+        },
+        h.now,
+    );
+    sends(&mut h.mgr)
+}
+
+/// Heartbeats `live`, advances one second and returns the one chunk the
+/// pump dispatched.
+fn dispatch_next(h: &mut Harness, live: &[NodeId]) -> ChunkId {
+    h.heartbeat_all(live);
+    let out = h.advance(Dur::from_secs(1));
+    match dispatched(&out)[..] {
+        [chunk] => chunk,
+        ref other => panic!("expected one copy, got {other:?}"),
+    }
+}
+
+/// A fresh [`one_copy_per_second`] manager with six benefactors.
+fn rekey_pool() -> (Harness, Vec<NodeId>) {
+    let mut h = Harness::with_config(one_copy_per_second());
+    let nodes = h.join_benefactors(6);
+    (h, nodes)
+}
+
+/// Queues chunks 1–3 (in commit order, so 3 is newest) on `holders(id)`
+/// behind a filler copy that spends the fleet budget, then dispatches
+/// chunk 3: newest, one live replica.
+fn queue_three(h: &mut Harness, live: &[NodeId], holders: impl Fn(u64) -> Vec<NodeId>) {
+    assert_eq!(total_copies(&commit_chunk(h, 100, &live[..1])), 1);
+    for id in 1..=3 {
+        let out = commit_chunk(h, id, &holders(id));
+        assert_eq!(total_copies(&out), 0, "the budget is spent");
+    }
+    assert_eq!(dispatch_next(h, live), ChunkId::test_id(3));
+}
+
+/// The pump keeps each queued task's priority from the last pump unless a
+/// key input changed. Each case queues three chunks, dispatches the head,
+/// changes one input of a queued chunk, and checks the next dispatch
+/// follows the new priority.
+#[test]
+fn repair_keys_follow_each_input_between_pumps() {
+    let c = ChunkId::test_id;
+
+    // A GC report re-learns a second holder of chunk 2.
+    let (mut h, nodes) = rekey_pool();
+    queue_three(&mut h, &nodes, |_| vec![nodes[0]]);
+    let req = h.req();
+    h.mgr.handle(
+        nodes[1],
+        Msg::GcReport {
+            req,
+            node: nodes[1],
+            chunks: vec![c(2)],
+        },
+        h.now,
+    );
+    sends(&mut h.mgr);
+    h.mgr.check_invariants();
+    assert_eq!(dispatch_next(&mut h, &nodes), c(1), "re-learned holder");
+
+    // Chunk 2's second holder expires, which puts it ahead of chunk 1.
+    let (mut h, nodes) = rekey_pool();
+    queue_three(&mut h, &nodes, |id| match id {
+        2 => vec![nodes[0], nodes[1]],
+        _ => vec![nodes[0]],
+    });
+    h.now += Dur::from_secs(4);
+    h.heartbeat_all(&[nodes[0], nodes[2], nodes[3], nodes[4], nodes[5]]);
+    let out = h.advance(Dur::from_secs(2));
+    assert!(!h.mgr.benefactors[&nodes[1]].online);
+    assert_eq!(dispatched(&out), vec![c(2)], "expired holder");
+
+    // A newer version references chunk 1.
+    let (mut h, nodes) = rekey_pool();
+    queue_three(&mut h, &nodes, |_| vec![nodes[0]]);
+    let (res, _, _, _) = h.open("/rekey/newer", 1);
+    let req = h.req();
+    h.mgr.handle(
+        NodeId(77),
+        Msg::CommitChunkMap {
+            req,
+            reservation: res,
+            entries: entries(&[1], 1024),
+            placements: Vec::new(),
+            pessimistic: false,
+            dedup: Default::default(),
+        },
+        h.now,
+    );
+    sends(&mut h.mgr);
+    h.mgr.check_invariants();
+    assert_eq!(dispatch_next(&mut h, &nodes), c(1), "newer commit");
+
+    // Chunk 2 also lists a holder that expired before the commit; it
+    // heartbeats back.
+    let (mut h, nodes) = rekey_pool();
+    h.now += Dur::from_secs(4);
+    h.heartbeat_all(&nodes[..5]);
+    h.advance(Dur::from_secs(2));
+    assert!(!h.mgr.benefactors[&nodes[5]].online);
+    queue_three(&mut h, &nodes[..5], |id| match id {
+        2 => vec![nodes[0], nodes[5]],
+        _ => vec![nodes[0]],
+    });
+    h.heartbeat_all(&nodes[5..]);
+    h.mgr.check_invariants();
+    assert_eq!(dispatch_next(&mut h, &nodes), c(1), "returning holder");
+
+    // Chunk 2 lists an id the manager has not assigned yet, which then
+    // joins (the next join gets id 7).
+    let (mut h, nodes) = rekey_pool();
+    queue_three(&mut h, &nodes, |id| match id {
+        2 => vec![nodes[0], NodeId(7)],
+        _ => vec![nodes[0]],
+    });
+    assert_eq!(h.join_benefactors(1), vec![NodeId(7)]);
+    h.mgr.check_invariants();
+    assert_eq!(dispatch_next(&mut h, &nodes), c(1), "joining holder");
+
+    // A replayed membership record adopts chunk 2's unknown holder.
+    let (mut h, nodes) = rekey_pool();
+    queue_three(&mut h, &nodes, |id| match id {
+        2 => vec![nodes[0], NodeId(50)],
+        _ => vec![nodes[0]],
+    });
+    h.mgr.replay(
+        &MetaRecord::Benefactor {
+            node: NodeId(50),
+            addr: String::new(),
+            total: GIB,
+        },
+        h.now,
+    );
+    assert_eq!(dispatch_next(&mut h, &nodes), c(1), "adopted holder");
 }
 
 #[test]
@@ -1141,78 +1286,6 @@ fn expired_source_requeues_inflight_repair_to_survivor() {
         .expect("re-planned replication command");
     assert_eq!(src, nodes[1]);
     assert!(h.mgr.repl_jobs.values().all(|j| j.source == nodes[1]));
-}
-
-#[test]
-fn adaptive_targets_rise_under_churn_and_fall_when_calm() {
-    let mut cfg = PoolConfig::fast_for_tests();
-    cfg.adaptive_replication = true;
-    cfg.repl_min = 1;
-    cfg.repl_max = 3;
-    let mut h = Harness::with_config(cfg.clone());
-    let nodes = h.join_benefactors(4);
-    let (res, stripe, _, _) = h.open("/ckpt/a", 1);
-    h.commit(res, entries(&[1], 256), &stripe, false);
-    // Calm fleet: the sweep keeps the minimal target.
-    h.now += Dur::from_millis(200);
-    h.heartbeat_all(&nodes);
-    h.mgr.handle_timeout(h.now);
-    sends(&mut h.mgr);
-    assert_eq!(h.mgr.chunks[&ChunkId::test_id(1)].target, 1);
-    // Three of four nodes churn out and stay gone: availability collapses
-    // and the sweep raises the target to the ceiling.
-    let holder = h.mgr.chunks[&ChunkId::test_id(1)]
-        .locations
-        .first()
-        .copied()
-        .expect("placement");
-    for _ in 0..10 {
-        h.now += Dur::from_millis(200);
-        h.heartbeat_all(&[holder]);
-        h.mgr.handle_timeout(h.now);
-        sends(&mut h.mgr);
-    }
-    assert_eq!(h.mgr.chunks[&ChunkId::test_id(1)].target, 3);
-    // With only the holder online there is no capacity to repair into;
-    // the sweep must not queue futile work.
-    assert_eq!(h.mgr.repair_backlog(), 0);
-
-    // Fresh calm fleet: a high target decays to the directory bounds'
-    // floor (nearest-ancestor lookup).
-    let mut h = Harness::with_config(cfg);
-    let nodes = h.join_benefactors(4);
-    let req = h.req();
-    h.mgr.handle(
-        NodeId(77),
-        Msg::SetPolicy {
-            req,
-            dir: "/ckpt".into(),
-            policy: RetentionPolicy::NoIntervention,
-            repl_bounds: Some((2, 3)),
-        },
-        h.now,
-    );
-    sends(&mut h.mgr);
-    let (res, _stripe, _, _) = h.open("/ckpt/a", 3);
-    let req = h.req();
-    h.mgr.handle(
-        NodeId(77),
-        Msg::CommitChunkMap {
-            req,
-            reservation: res,
-            entries: entries(&[1], 256),
-            placements: vec![(ChunkId::test_id(1), vec![nodes[0], nodes[1], nodes[2]])],
-            pessimistic: false,
-            dedup: Default::default(),
-        },
-        h.now,
-    );
-    sends(&mut h.mgr);
-    assert_eq!(h.mgr.chunks[&ChunkId::test_id(1)].target, 3);
-    h.mgr.adapt_replication_targets(Time::from_secs(1));
-    // Fully-available fleet would settle at 1 replica, but the directory
-    // bounds clamp the floor at 2.
-    assert_eq!(h.mgr.chunks[&ChunkId::test_id(1)].target, 2);
 }
 
 #[test]
@@ -1270,7 +1343,7 @@ fn commit_reply_carries_checkpoint_guidance() {
 }
 
 #[test]
-fn churn_and_bounds_replay_restores_estimator_state() {
+fn churn_replay_restores_totals() {
     let mut h = Harness::new();
     h.mgr.enable_wal();
     let nodes = h.join_benefactors(2);
@@ -1282,20 +1355,7 @@ fn churn_and_bounds_replay_restores_estimator_state() {
             }
         }
     };
-    // A bounds change plus one heartbeat expiry emit durable records.
-    let req = h.req();
-    Node::handle(
-        &mut h.mgr,
-        NodeId(77),
-        Msg::SetPolicy {
-            req,
-            dir: "/ckpt".into(),
-            policy: RetentionPolicy::NoIntervention,
-            repl_bounds: Some((2, 4)),
-        },
-        h.now,
-    );
-    drain(&mut h.mgr, &mut records);
+    // One heartbeat expiry emits a durable churn record.
     h.now += Dur::from_millis(100);
     h.heartbeat_all(&nodes[1..]);
     h.now += Dur::from_millis(100);
@@ -1305,15 +1365,10 @@ fn churn_and_bounds_replay_restores_estimator_state() {
         .iter()
         .any(|r| matches!(r, MetaRecord::Churn { .. })));
     assert_eq!(h.mgr.churn_totals().departures, 1);
-    // Replaying the log into a fresh manager reproduces totals and bounds.
+    // Replaying the log into a fresh manager reproduces the totals.
     let mut m2 = Manager::new(PoolConfig::fast_for_tests());
     for r in &records {
         m2.replay(r, h.now);
     }
     assert_eq!(m2.churn_totals(), h.mgr.churn_totals());
-    assert_eq!(m2.repl_bounds.get("/ckpt"), Some(&(2, 4)));
-    // Snapshots carry the bounds as well.
-    let snap = h.mgr.snapshot();
-    let m3 = Manager::restore(PoolConfig::fast_for_tests(), &snap, h.now);
-    assert_eq!(m3.repl_bounds.get("/ckpt"), Some(&(2, 4)));
 }

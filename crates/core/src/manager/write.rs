@@ -38,6 +38,8 @@ impl Manager {
         let placement_map: HashMap<ChunkId, &Vec<NodeId>> =
             placements.iter().map(|(c, l)| (*c, l)).collect();
         let sizes: HashMap<ChunkId, u32> = map.entries().iter().map(|e| (e.id, e.size)).collect();
+        // Newest versions and placements feed the repair keys.
+        self.repair_keys_stale = true;
         for id in map.distinct_chunks() {
             let meta = self.chunks.entry(id).or_insert_with(|| ChunkMeta {
                 size: *sizes.get(&id).expect("entry size"),
@@ -491,25 +493,11 @@ impl Manager {
         req: RequestId,
         dir: String,
         policy: RetentionPolicy,
-        repl_bounds: Option<(u32, u32)>,
         out: &mut ActionQueue,
     ) {
         let dir = normalize(&dir);
         self.dirs.insert(dir.clone(), policy);
-        // Sanitize: a zero floor or inverted pair can't express a valid
-        // clamp; coerce instead of bouncing the whole policy update.
-        let repl_bounds = repl_bounds.map(|(lo, hi)| {
-            let lo = lo.max(1);
-            (lo, hi.max(lo))
-        });
-        if let Some(bounds) = repl_bounds {
-            self.repl_bounds.insert(dir.clone(), bounds);
-        }
-        self.log_meta(out, || MetaRecord::SetPolicy {
-            dir,
-            policy,
-            repl_bounds,
-        });
+        self.log_meta(out, || MetaRecord::SetPolicy { dir, policy });
         out.send(from, Msg::Ack { req });
     }
 
@@ -523,23 +511,6 @@ impl Manager {
             }
             if dir == "/" {
                 return RetentionPolicy::NoIntervention;
-            }
-            dir = parent(&dir);
-        }
-    }
-
-    /// The adaptive-replication clamp applying to `path`: the bounds of
-    /// its nearest ancestor directory with `SetPolicy` bounds, defaulting
-    /// to the pool-wide `[repl_min, repl_max]`.
-    pub(crate) fn repl_bounds_for(&self, path: &str) -> (u32, u32) {
-        let mut dir = parent(path);
-        loop {
-            if let Some(b) = self.repl_bounds.get(&dir) {
-                return *b;
-            }
-            if dir == "/" {
-                let lo = self.cfg.repl_min.max(1);
-                return (lo, self.cfg.repl_max.max(lo));
             }
             dir = parent(&dir);
         }

@@ -204,7 +204,6 @@ impl Driver {
                         policy: RetentionPolicy::AutomatedReplace {
                             keep_last: keep as u32,
                         },
-                        repl_bounds: None,
                     },
                     self.now,
                 );

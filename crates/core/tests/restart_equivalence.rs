@@ -245,15 +245,7 @@ impl Driver {
                     0 => "/".to_string(),
                     d => format!("/d{d}"),
                 };
-                self.deliver(
-                    CLIENT,
-                    Msg::SetPolicy {
-                        req,
-                        dir,
-                        policy,
-                        repl_bounds: None,
-                    },
-                );
+                self.deliver(CLIENT, Msg::SetPolicy { req, dir, policy });
             }
             Op::Heartbeats => {
                 for n in self.nodes.clone() {

@@ -597,22 +597,6 @@ impl Grid {
     ///
     /// See [`Grid::stat`].
     pub fn set_policy(&self, dir: &str, policy: RetentionPolicy) -> Result<(), GridError> {
-        self.set_policy_with_bounds(dir, policy, None)
-    }
-
-    /// Sets the retention policy of a directory together with optional
-    /// `(min, max)` bounds for churn-adaptive replication targets of files
-    /// under it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Grid::stat`].
-    pub fn set_policy_with_bounds(
-        &self,
-        dir: &str,
-        policy: RetentionPolicy,
-        repl_bounds: Option<(u32, u32)>,
-    ) -> Result<(), GridError> {
         let req = self.req();
         self.rpc(
             req,
@@ -620,7 +604,6 @@ impl Grid {
                 req,
                 dir: dir.into(),
                 policy,
-                repl_bounds,
             },
         )?;
         Ok(())

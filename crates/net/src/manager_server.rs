@@ -544,7 +544,6 @@ impl ManagerServer {
         durable: Option<(Arc<MetaLog>, crate::metalog::MetaRecovery)>,
         opts: ServerOpts,
     ) -> io::Result<ManagerServer> {
-        let cfg = cfg.apply_env();
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
         let (clock, metalog, manager) = match durable {

@@ -16,9 +16,11 @@
 //! a persistent little-endian sequence number in its first 8 bytes, so
 //! recovery can verify the log is gapless. A snapshot file holds a single
 //! framed [`MetaSnapshot`] record. The snapshot's file number is the
-//! first WAL segment *not* covered by it: opening loads the newest valid
+//! first WAL segment *not* covered by it: opening loads the newest
 //! snapshot `snap-k` and replays `wal-n` for every `n ≥ k`, truncating a
-//! torn tail exactly like the chunk segment store.
+//! torn tail exactly like the chunk segment store. A snapshot is written
+//! whole and synced before it is renamed into place, so one that fails
+//! validation fails the open instead of being skipped.
 //!
 //! # Ordering
 //!
@@ -245,8 +247,9 @@ impl MetaLog {
     /// I/O errors, a framed-but-undecodable record
     /// ([`io::ErrorKind::InvalidData`] — CRC-valid bytes that no longer
     /// parse mean corruption or a format regression, not a torn tail),
-    /// a sequence gap, or [`io::ErrorKind::AddrInUse`] when another live
-    /// process owns the directory.
+    /// an invalid newest snapshot or a sequence gap (both `InvalidData`;
+    /// the files stay on disk), or [`io::ErrorKind::AddrInUse`] when
+    /// another live process owns the directory.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<(MetaLog, MetaRecovery)> {
         MetaLog::open_with(dir, MetaLogConfig::default())
     }
@@ -266,29 +269,23 @@ impl MetaLog {
         // A crash during install_with may leave a temp file behind.
         fs::remove_file(dir.join("snap-tmp")).ok();
 
-        // Newest parseable snapshot wins; invalid ones (torn writes that
-        // never got renamed over, bit rot) are deleted and older ones
-        // tried. The snapshot's frame key anchors the sequence check: it
-        // stores the seq of the first record *not* covered, so a missing
-        // or wholly-corrupt post-snapshot segment fails recovery loudly
-        // instead of silently skipping acked records.
+        // The newest snapshot is the recovery base. Install writes and
+        // syncs it before the rename, so a named snapshot that fails
+        // validation is bit rot or a format change: refuse to open rather
+        // than fall back, because the WAL segments it covers are gone and
+        // replaying the rest would silently drop every version it held.
+        // Its frame key anchors the sequence check (the seq of the first
+        // record *not* covered); without a snapshot the log must start at
+        // seq 0. Either way a missing snapshot, segment or record prefix
+        // fails recovery loudly instead of skipping acked records.
         let mut snapshot = None;
         let mut base = 0u64;
         let mut next_seq = 0u64;
-        let mut seen_seq = false;
-        for &n in numbered(&dir, "snap-", ".snap")?.iter().rev() {
-            match read_snapshot(&snap_path(&dir, n)) {
-                Some((s, snap_seq)) => {
-                    snapshot = Some(s);
-                    base = n;
-                    next_seq = snap_seq;
-                    seen_seq = true;
-                    break;
-                }
-                None => {
-                    fs::remove_file(snap_path(&dir, n)).ok();
-                }
-            }
+        if let Some(&n) = numbered(&dir, "snap-", ".snap")?.last() {
+            let (s, snap_seq) = read_snapshot(&snap_path(&dir, n))?;
+            snapshot = Some(s);
+            base = n;
+            next_seq = snap_seq;
         }
 
         // Replay WAL segments the snapshot does not cover; delete the
@@ -307,14 +304,13 @@ impl MetaLog {
             let mut decode_err = None;
             let valid = scan_records(&file, file_len, KIND_META, |_, rec| {
                 let seq = crate::log::le_u64(&rec.key, 0);
-                if seen_seq && seq != next_seq {
+                if seq != next_seq {
                     decode_err = Some(io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!("metadata log sequence gap: expected {next_seq}, found {seq}"),
                     ));
                     return Err(io::ErrorKind::InvalidData.into());
                 }
-                seen_seq = true;
                 next_seq = seq + 1;
                 match MetaRecord::from_wire_bytes(&rec.payload) {
                     Ok(r) => {
@@ -684,19 +680,30 @@ fn install_phase2(
 
 /// Reads and validates a snapshot file, returning it plus the sequence
 /// number of the first WAL record it does *not* cover (stored in the
-/// frame key at install time). `None` on any framing, CRC, kind or
-/// decode failure (the caller falls back to an older snapshot).
-fn read_snapshot(path: &Path) -> Option<(MetaSnapshot, u64)> {
-    let file = File::open(path).ok()?;
-    let len = file.metadata().ok()?.len();
-    let rec = crate::log::read_record(&file, 0, len, KIND_SNAPSHOT).ok()??;
+/// frame key at install time).
+///
+/// # Errors
+///
+/// I/O errors opening or reading the file, and
+/// [`io::ErrorKind::InvalidData`] on any framing, CRC, kind or decode
+/// failure.
+fn read_snapshot(path: &Path) -> io::Result<(MetaSnapshot, u64)> {
+    let invalid = |why: &str| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("invalid metadata snapshot {}: {why}", path.display()),
+        )
+    };
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let rec = crate::log::read_record(&file, 0, len, KIND_SNAPSHOT)?
+        .ok_or_else(|| invalid("bad frame or checksum"))?;
     if rec.kind != KIND_SNAPSHOT || record_size(rec.payload.len() as u32) != len {
-        return None;
+        return Err(invalid("not a single snapshot record"));
     }
     let seq = crate::log::le_u64(&rec.key, 0);
-    MetaSnapshot::from_wire_bytes(&rec.payload)
-        .ok()
-        .map(|s| (s, seq))
+    let snap = MetaSnapshot::from_wire_bytes(&rec.payload).map_err(|e| invalid(&e.to_string()))?;
+    Ok((snap, seq))
 }
 
 #[cfg(test)]
@@ -724,7 +731,6 @@ mod tests {
             policy: RetentionPolicy::AutomatedReplace {
                 keep_last: i as u32,
             },
-            repl_bounds: None,
         }
     }
 
@@ -861,7 +867,6 @@ mod tests {
             benefactors: vec![(NodeId(1), "b:1".into(), 99)],
             files: Vec::new(),
             dirs: vec![("/kept".into(), RetentionPolicy::REPLACE)],
-            repl_bounds: vec![("/kept".into(), (2, 4))],
             chunks: Vec::new(),
         };
         {
@@ -916,29 +921,44 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Writes `rec(0)`, installs a snapshot over it, then appends
+    /// `rec(1)`: the directory holds `snap-1` and a WAL starting at seq 1.
+    fn log_with_snapshot(name: &str) -> PathBuf {
+        let dir = tmp(name);
+        let (mlog, _) = MetaLog::open(&dir).unwrap();
+        append(&mlog, 0, rec(0));
+        mlog.install_with(MetaSnapshot::default).unwrap();
+        append(&mlog, 1, rec(1));
+        dir
+    }
+
     #[test]
-    fn corrupt_snapshot_falls_back_to_log() {
-        let dir = tmp("badsnap");
-        {
-            let (mlog, _) = MetaLog::open(&dir).unwrap();
-            append(&mlog, 0, rec(0));
-            mlog.install_with(MetaSnapshot::default).unwrap();
-            append(&mlog, 1, rec(1));
-        }
+    fn corrupt_snapshot_fails_open_and_is_kept() {
+        let dir = log_with_snapshot("badsnap");
         // Trash the snapshot body.
         let snap = snap_path(&dir, 1);
         let mut bytes = fs::read(&snap).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
-        fs::write(&snap, bytes).unwrap();
+        fs::write(&snap, &bytes).unwrap();
 
-        // The snapshot is rejected; the post-snapshot tail still replays
-        // (the pre-snapshot records are gone with their pruned segments —
-        // that is the corruption blast radius of losing a snapshot).
-        let (_m, recovered) = MetaLog::open(&dir).unwrap();
-        assert!(recovered.snapshot.is_none());
-        assert_eq!(recovered.records, vec![rec(1)]);
-        assert!(!snap.exists(), "invalid snapshot deleted");
+        // The pre-snapshot records went with their pruned segments, so
+        // replaying the tail alone would silently lose them: the open
+        // fails instead, and leaves the evidence in place.
+        let err = MetaLog::open(&dir).expect_err("corrupt snapshot must fail recovery");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(fs::read(&snap).unwrap(), bytes, "invalid snapshot kept");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn deleted_snapshot_fails_open() {
+        let dir = log_with_snapshot("nosnap");
+        fs::remove_file(snap_path(&dir, 1)).unwrap();
+        // Without a snapshot the log must start at seq 0; this one starts
+        // where the lost snapshot ended.
+        let err = MetaLog::open(&dir).expect_err("lost snapshot must fail recovery");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -71,8 +71,6 @@ pub enum MetaRecord {
         dir: String,
         /// The policy now in force.
         policy: RetentionPolicy,
-        /// Optional `(min, max)` clamp on adaptive replication targets.
-        repl_bounds: Option<(u32, u32)>,
     },
     /// A benefactor joined the pool, or re-registered with a new address.
     /// Liveness stays soft state (heartbeats); the durable part is the id
@@ -167,14 +165,9 @@ impl Wire for MetaRecord {
                 versions.encode(w);
             }
             MetaRecord::Delete { path } => path.encode(w),
-            MetaRecord::SetPolicy {
-                dir,
-                policy,
-                repl_bounds,
-            } => {
+            MetaRecord::SetPolicy { dir, policy } => {
                 dir.encode(w);
                 policy.encode(w);
-                repl_bounds.encode(w);
             }
             MetaRecord::Benefactor { node, addr, total } => {
                 node.encode(w);
@@ -218,7 +211,6 @@ impl Wire for MetaRecord {
             TAG_SET_POLICY => MetaRecord::SetPolicy {
                 dir: String::decode(r)?,
                 policy: RetentionPolicy::decode(r)?,
-                repl_bounds: Option::decode(r)?,
             },
             TAG_BENEFACTOR => MetaRecord::Benefactor {
                 node: NodeId::decode(r)?,
@@ -347,8 +339,6 @@ pub struct MetaSnapshot {
     pub files: Vec<SnapshotFile>,
     /// Directory retention policies.
     pub dirs: Vec<(String, RetentionPolicy)>,
-    /// Per-directory `(min, max)` adaptive-replication bounds.
-    pub repl_bounds: Vec<(String, (u32, u32))>,
     /// Durable per-chunk metadata (size, target, last known locations).
     pub chunks: Vec<SnapshotChunk>,
 }
@@ -368,7 +358,6 @@ impl Wire for MetaSnapshot {
         self.benefactors.encode(w);
         self.files.encode(w);
         self.dirs.encode(w);
-        self.repl_bounds.encode(w);
         self.chunks.encode(w);
     }
 
@@ -380,7 +369,6 @@ impl Wire for MetaSnapshot {
             benefactors: Vec::decode(r)?,
             files: Vec::decode(r)?,
             dirs: Vec::decode(r)?,
-            repl_bounds: Vec::decode(r)?,
             chunks: Vec::decode(r)?,
         })
     }
@@ -426,7 +414,6 @@ mod tests {
         roundtrip(MetaRecord::SetPolicy {
             dir: "/jobs".into(),
             policy: RetentionPolicy::AutomatedReplace { keep_last: 2 },
-            repl_bounds: Some((2, 5)),
         });
         roundtrip(MetaRecord::Benefactor {
             node: NodeId(5),
@@ -476,7 +463,6 @@ mod tests {
                     after: stdchk_util::Dur::from_secs(60),
                 },
             )],
-            repl_bounds: vec![("/jobs".into(), (1, 3))],
             chunks: vec![SnapshotChunk {
                 id: ChunkId::test_id(9),
                 size: 128,

@@ -295,9 +295,6 @@ pub enum Msg {
         dir: String,
         /// The policy.
         policy: RetentionPolicy,
-        /// Optional `(min, max)` clamp for adaptive replication targets of
-        /// files under this directory. `None` leaves the pool-wide bounds.
-        repl_bounds: Option<(u32, u32)>,
     },
     /// Resolves node ids to dial addresses (real-network deployments).
     ResolveNodes {
@@ -950,16 +947,10 @@ impl Wire for Msg {
                 req.encode(w);
                 path.encode(w);
             }
-            Msg::SetPolicy {
-                req,
-                dir,
-                policy,
-                repl_bounds,
-            } => {
+            Msg::SetPolicy { req, dir, policy } => {
                 req.encode(w);
                 dir.encode(w);
                 policy.encode(w);
-                repl_bounds.encode(w);
             }
             Msg::ResolveNodes { req, nodes } => {
                 req.encode(w);
@@ -1219,7 +1210,6 @@ impl Wire for Msg {
                 req: RequestId::decode(r)?,
                 dir: String::decode(r)?,
                 policy: RetentionPolicy::decode(r)?,
-                repl_bounds: Option::decode(r)?,
             },
             27 => Msg::ResolveNodes {
                 req: RequestId::decode(r)?,
@@ -1437,7 +1427,6 @@ mod tests {
                 policy: RetentionPolicy::AutomatedPurge {
                     after: Dur::from_secs(3600),
                 },
-                repl_bounds: Some((2, 4)),
             },
             Msg::ResolveNodes {
                 req: RequestId(15),

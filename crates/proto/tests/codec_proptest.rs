@@ -146,18 +146,11 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                 }
             }
         ),
-        (
-            any::<u64>(),
-            ".*",
-            arb_policy(),
-            prop_oneof![Just(None), (any::<u32>(), any::<u32>()).prop_map(Some)]
-        )
-            .prop_map(|(r, dir, policy, repl_bounds)| Msg::SetPolicy {
-                req: RequestId(r),
-                dir,
-                policy,
-                repl_bounds,
-            }),
+        (any::<u64>(), ".*", arb_policy()).prop_map(|(r, dir, policy)| Msg::SetPolicy {
+            req: RequestId(r),
+            dir,
+            policy,
+        }),
         (
             any::<u64>(),
             any::<u64>(),

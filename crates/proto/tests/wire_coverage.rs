@@ -166,7 +166,6 @@ fn one_of_each() -> Vec<Msg> {
             req,
             dir: "/app".into(),
             policy: RetentionPolicy::AutomatedReplace { keep_last: 2 },
-            repl_bounds: Some((1, 4)),
         },
         Msg::ResolveNodes {
             req,
@@ -380,7 +379,6 @@ fn snapshot() -> MetaSnapshot {
             }],
         }],
         dirs: vec![(String::from("/app"), RetentionPolicy::NoIntervention)],
-        repl_bounds: vec![(String::from("/app"), (1, 4))],
         chunks: vec![SnapshotChunk {
             id: ChunkId::test_id(1),
             size: 1024,
@@ -413,7 +411,6 @@ fn meta_snapshot_and_records_roundtrip() {
         MetaRecord::SetPolicy {
             dir: "/app".into(),
             policy: RetentionPolicy::AutomatedReplace { keep_last: 2 },
-            repl_bounds: None,
         },
         MetaRecord::Benefactor {
             node: NodeId(4),

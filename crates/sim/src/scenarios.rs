@@ -4,12 +4,10 @@
 //! The flagship scenario, [`churn_departure`], is the acceptance run for
 //! rate-limited repair: a fleet pre-populated with replication-3 checkpoint
 //! data loses 30% of its benefactors in two correlated waves while a victim
-//! writer is mid-checkpoint. With the repair scheduler on, rebuild traffic
-//! is paced under the per-source and fleet budgets and the victim's ingest
-//! latency stays near calm; with the scheduler off (`repair_scheduler:
-//! false`, the pre-scheduler FIFO behaviour) the rebuild storm floods the
-//! survivors' disks, their ingress gates collapse to disk speed, and the
-//! victim's tail latency explodes.
+//! writer is mid-checkpoint. The manager's repair scheduler paces rebuild
+//! traffic under the per-source and fleet budgets, so the rebuild storm
+//! does not flood the survivors' disks and the victim's ingest latency
+//! stays near calm.
 
 use stdchk_core::session::write::{SessionConfig, WriteProtocol};
 use stdchk_core::{Action, BenefactorConfig, Node, PoolConfig};
@@ -186,19 +184,16 @@ pub fn committed_versions(sim: &mut SimCluster, path: &str) -> Vec<VersionId> {
         .unwrap_or_default()
 }
 
-/// The 30%-fleet correlated-departure scenario.
-///
-/// * `scheduler_on` — prioritized, rate-limited repair vs unthrottled FIFO.
-/// * `with_trace` — run the departure trace, or stay calm (the baseline).
+/// The 30%-fleet correlated-departure scenario, with the departure trace
+/// (`with_trace`) or calm (the baseline).
 ///
 /// Client 0 pre-populates [`BASE_FILES`] replication-3 checkpoints; the
 /// departure waves hit at [`CHURN_WAVE_AT`] and [`CHURN_STAGGER`] later
 /// (±2 s jitter); client 1 writes a [`VICTIM_MB`] MB checkpoint starting
 /// at [`VICTIM_START`] — just before the first wave's leases expire — so
 /// its ingest tail rides through detection and the rebuild storm.
-pub fn churn_departure(scheduler_on: bool, with_trace: bool) -> ChurnOutcome {
+pub fn churn_departure(with_trace: bool) -> ChurnOutcome {
     let mut cfg = SimConfig::gige(CHURN_FLEET, 2);
-    cfg.pool.repair_scheduler = scheduler_on;
     cfg.benefactor_cfg = Some(chaos_bcfg(&cfg.pool));
     let mut sim = SimCluster::new(cfg);
     for f in 0..BASE_FILES {
@@ -254,11 +249,7 @@ pub fn churn_departure(scheduler_on: bool, with_trace: bool) -> ChurnOutcome {
         }
     }
     sim.manager().check_invariants();
-    let label = match (scheduler_on, with_trace) {
-        (_, false) => "calm",
-        (true, true) => "churn+sched",
-        (false, true) => "churn+fifo",
-    };
+    let label = if with_trace { "churn+sched" } else { "calm" };
     ChurnOutcome {
         victim_p50,
         victim_p99,

@@ -1,8 +1,11 @@
 //! Chaos scenario suite: fleet churn driven through the real state
 //! machines, asserting durability (no committed version loses its last
-//! live replica) and bounded victim ingest latency under rate-limited
-//! repair — plus the heartbeat-expiry edge cases around returning nodes
-//! and dying repair sources.
+//! live replica) and bounded victim ingest latency under the manager's
+//! prioritized, rate-limited repair — plus the heartbeat-expiry edge
+//! cases around returning nodes and dying repair sources. Each test
+//! prints its outcome (copies, backlog peak, and for the departure run
+//! the victim's latency), which the deterministic simulator reproduces
+//! exactly from run to run.
 
 use stdchk_core::session::write::{SessionConfig, WriteProtocol};
 use stdchk_sim::scenarios::{
@@ -20,30 +23,27 @@ fn sw(buffer: u64) -> SessionConfig {
     }
 }
 
-/// The acceptance A/B: a seeded 30%-fleet correlated departure. With the
-/// repair scheduler on, no committed replication-3 version loses its last
-/// live replica and the victim writer's ingest p99 stays within 5× the
-/// calm baseline; the unthrottled FIFO baseline demonstrably violates that
-/// bound (its rebuild storm floods survivor disks and gates their NICs).
+/// The acceptance run: a seeded 30%-fleet correlated departure. No
+/// committed replication-3 version loses its last live replica and the
+/// victim writer's ingest p99 stays within 5× the calm baseline.
 #[test]
 fn correlated_departure_survives_with_bounded_victim_tail() {
-    let calm = churn_departure(true, false);
-    let sched = churn_departure(true, true);
-    let fifo = churn_departure(false, true);
-    println!("{}", calm.summary);
-    println!("{}", sched.summary);
-    println!("{}", fifo.summary);
-    println!(
-        "victim p99: calm={:?} sched={:?} fifo={:?}",
-        calm.victim_p99, sched.victim_p99, fifo.victim_p99
-    );
-    println!(
-        "victim max: calm={:?} sched={:?} fifo={:?} done: calm={:?} sched={:?} fifo={:?} copies: {} {} {}",
-        calm.victim_max, sched.victim_max, fifo.victim_max,
-        calm.victim_done, sched.victim_done, fifo.victim_done,
-        calm.replication_copies, sched.replication_copies, fifo.replication_copies,
-    );
-    assert!(!calm.victim_failed && !sched.victim_failed && !fifo.victim_failed);
+    let calm = churn_departure(false);
+    let sched = churn_departure(true);
+    for (arm, o) in [("calm", &calm), ("churn+sched", &sched)] {
+        println!("{}", o.summary);
+        println!(
+            "{arm}: copies {} backlog peak {} victim p99 {:?} max {:?} done {:?} lost {}/{}",
+            o.replication_copies,
+            o.backlog_peak,
+            o.victim_p99,
+            o.victim_max,
+            o.victim_done,
+            o.lost_versions,
+            o.audited_versions,
+        );
+    }
+    assert!(!calm.victim_failed && !sched.victim_failed);
     assert!(calm.audited_versions >= 7 && calm.lost_versions == 0);
 
     // Durability: every committed replication-3 version stays readable.
@@ -56,18 +56,11 @@ fn correlated_departure_survives_with_bounded_victim_tail() {
     assert!(sched.backlog_peak > 0, "departure must queue repairs");
     assert!(sched.repair_cleared_at.is_some());
 
-    // Ingest tail: bounded under the scheduler, unbounded without it.
-    let bound = calm.victim_p99 * 5;
+    // Ingest tail: rebuild traffic is paced, so the victim stays near calm.
     assert!(
-        sched.victim_p99 <= bound,
+        sched.victim_p99 <= calm.victim_p99 * 5,
         "scheduled repair must keep the victim p99 within 5x calm: {:?} vs calm {:?}",
         sched.victim_p99,
-        calm.victim_p99
-    );
-    assert!(
-        fifo.victim_p99 > bound,
-        "unthrottled repair should blow the 5x bound: {:?} vs calm {:?}",
-        fifo.victim_p99,
         calm.victim_p99
     );
 }
@@ -95,6 +88,11 @@ fn returning_benefactor_cancels_queued_repairs() {
     sim.schedule_churn(Time::from_secs(40), 0, ChurnKind::Return);
     let report = sim.run(Dur::from_secs(90));
     assert!(report.results.iter().all(|r| !r.failed));
+    println!(
+        "copies {} backlog peak {}",
+        report.manager_stats.replication_copies,
+        report.metrics.backlog_peak()
+    );
 
     // The departure queued repairs...
     assert!(
@@ -140,6 +138,11 @@ fn repair_survives_source_expiry_midstream() {
     sim.schedule_churn(Time::from_secs(16), 0, ChurnKind::Crash);
     let report = sim.run(Dur::from_secs(150));
     assert!(report.results.iter().all(|r| !r.failed));
+    println!(
+        "copies {} backlog peak {}",
+        report.manager_stats.replication_copies,
+        report.metrics.backlog_peak()
+    );
 
     let versions = committed_versions(&mut sim, path);
     assert!(!versions.is_empty());
@@ -160,8 +163,8 @@ fn repair_survives_source_expiry_midstream() {
 
 /// Scale smoke: a 1000-benefactor fleet under seeded steady churn. The
 /// run must stay deterministic and consistent — sessions complete, the
-/// churn tracker observes departures and produces a sane availability
-/// estimate, and the metadata invariants hold at the end.
+/// churn tracker observes departures, and the metadata invariants hold at
+/// the end.
 #[test]
 fn thousand_node_fleet_steady_churn_smoke() {
     let mut cfg = SimConfig::gige(1000, 2);
@@ -185,18 +188,18 @@ fn thousand_node_fleet_steady_churn_smoke() {
     sim.schedule_trace(&trace);
     let report = sim.run(Dur::from_secs(120));
     assert!(report.results.iter().all(|r| !r.failed));
+    println!(
+        "copies {} transactions {} backlog peak {}",
+        report.manager_stats.replication_copies,
+        report.manager_stats.transactions,
+        report.metrics.backlog_peak()
+    );
 
     let totals = sim.manager().churn_totals();
     assert!(
         totals.departures > 100,
         "the tracker must observe fleet departures: {}",
         totals.departures
-    );
-    let now = sim.now();
-    let avail = sim.manager().availability_ppm(now);
-    assert!(
-        (1..=1_000_000).contains(&avail),
-        "availability estimate out of range: {avail} ppm"
     );
     sim.manager().check_invariants();
 }
