@@ -3,9 +3,7 @@
 //! Benefactors keep their responsibilities deliberately minimal to ease
 //! integration: publish status and free space through soft-state
 //! registration (heartbeats), serve chunk store/retrieve requests, execute
-//! replication copy orders, and run garbage collection. They additionally
-//! hold client-stashed chunk-maps so a failed manager can recover committed
-//! files (the ⅔-concurrence protocol).
+//! replication copy orders, and run garbage collection.
 //!
 //! Chunk *data* lives behind the driver (a real directory of files in
 //! `stdchk-net`, nothing at all in the simulator); the state machine tracks
@@ -19,7 +17,6 @@
 use std::collections::HashMap;
 
 use stdchk_chunker::delta::delta_apply;
-use stdchk_proto::chunkmap::ChunkEntry;
 use stdchk_proto::ids::{ChunkId, NodeId, RequestId};
 use stdchk_proto::msg::{Msg, ReplicaCopy};
 use stdchk_proto::ErrorCode;
@@ -42,10 +39,6 @@ pub struct BenefactorConfig {
     /// Replication transfer timeout (a copy with no ack in this window is
     /// reported failed).
     pub put_timeout: Dur,
-    /// How often stashed commits are re-offered to the manager.
-    pub reoffer_every: Dur,
-    /// Stashed commits older than this are discarded.
-    pub stash_ttl: Dur,
 }
 
 impl Default for BenefactorConfig {
@@ -55,8 +48,6 @@ impl Default for BenefactorConfig {
             gc_grace: Dur::from_secs(600),
             gc_min_interval: Dur::from_secs(30),
             put_timeout: Dur::from_secs(30),
-            reoffer_every: Dur::from_secs(10),
-            stash_ttl: Dur::from_secs(3600),
         }
     }
 }
@@ -69,8 +60,6 @@ impl BenefactorConfig {
             gc_grace: Dur::from_millis(100),
             gc_min_interval: Dur::from_millis(100),
             put_timeout: Dur::from_millis(200),
-            reoffer_every: Dur::from_millis(100),
-            stash_ttl: Dur::from_secs(10),
         }
     }
 }
@@ -124,15 +113,6 @@ struct OutstandingPut {
     sent_at: Time,
 }
 
-#[derive(Clone, Debug)]
-struct Stash {
-    path: String,
-    entries: Vec<ChunkEntry>,
-    placements: Vec<(ChunkId, Vec<NodeId>)>,
-    stored_at: Time,
-    last_offer_req: Option<RequestId>,
-}
-
 /// The benefactor state machine.
 #[derive(Debug)]
 pub struct Benefactor {
@@ -148,12 +128,10 @@ pub struct Benefactor {
     last_heartbeat: Option<Time>,
     gc_due: bool,
     last_gc: Option<Time>,
-    last_reoffer: Option<Time>,
     pending_stores: HashMap<u64, PendingStore>,
     pending_loads: HashMap<u64, LoadPurpose>,
     repl_jobs: HashMap<u64, JobState>,
     outstanding_puts: HashMap<RequestId, OutstandingPut>,
-    stash: Vec<Stash>,
     advertised_addr: String,
     actions: ActionQueue,
 }
@@ -178,12 +156,10 @@ impl Benefactor {
             last_heartbeat: None,
             gc_due: false,
             last_gc: None,
-            last_reoffer: None,
             pending_stores: HashMap::new(),
             pending_loads: HashMap::new(),
             repl_jobs: HashMap::new(),
             outstanding_puts: HashMap::new(),
-            stash: Vec::new(),
             advertised_addr: String::new(),
             actions: ActionQueue::new(),
         }
@@ -297,7 +273,7 @@ impl Benefactor {
                 basis,
                 size,
                 delta,
-            } => self.on_delta_put(from, req, chunk, basis, size, delta),
+            } => self.on_delta_put(from, req, chunk, basis, size, delta, now),
             Msg::GetChunk { req, chunk } => self.on_get(from, req, chunk),
             Msg::DeleteChunks { chunks } => {
                 for c in chunks {
@@ -315,31 +291,6 @@ impl Benefactor {
                 // Either a failed replication transfer or a stale reply.
                 self.on_put_ack(req, false);
             }
-            Msg::StashCommit {
-                req,
-                path,
-                entries,
-                placements,
-            } => {
-                self.stash.push(Stash {
-                    path,
-                    entries,
-                    placements,
-                    stored_at: now,
-                    last_offer_req: None,
-                });
-                // Quiet period before the first re-offer: the manager that
-                // granted this commit is alive right now, and an immediate
-                // offer would only be acked and dropped — defeating the
-                // stash's purpose of surviving a manager crash shortly
-                // after the commit.
-                self.last_reoffer = Some(now);
-                self.actions.send(from, Msg::Ack { req });
-            }
-            Msg::Ack { req } => {
-                // Ack of a re-offer: the manager has (re)learned this commit.
-                self.stash.retain(|s| s.last_offer_req != Some(req));
-            }
             other => {
                 if let Some(req) = other.request_id() {
                     self.actions.send(
@@ -353,6 +304,27 @@ impl Benefactor {
                 }
             }
         }
+    }
+
+    /// Content-addressed dedup: acks a put of a chunk already stored here
+    /// and restarts its GC grace, as a fresh store would. The writing
+    /// session will reference the chunk, so an old orphan (say, from an
+    /// aborted session) must not be reported deletable under it. Returns
+    /// false, sending nothing, when the chunk is not stored.
+    fn ack_stored(&mut self, from: NodeId, req: RequestId, chunk: ChunkId, now: Time) -> bool {
+        let Some(info) = self.index.get_mut(&chunk) else {
+            return false;
+        };
+        info.stored_at = now;
+        self.actions.send(
+            from,
+            Msg::PutChunkOk {
+                req,
+                chunk,
+                node: self.id,
+            },
+        );
+        true
     }
 
     fn on_put(
@@ -377,16 +349,7 @@ impl Benefactor {
             );
             return;
         }
-        if self.index.contains_key(&chunk) {
-            // Content-addressed dedup: already stored, ack immediately.
-            self.actions.send(
-                from,
-                Msg::PutChunkOk {
-                    req,
-                    chunk,
-                    node: self.id,
-                },
-            );
+        if self.ack_stored(from, req, chunk, now) {
             return;
         }
         if !data.is_empty() {
@@ -458,6 +421,7 @@ impl Benefactor {
     /// reads, replication, and GC are oblivious to how the bytes arrived.
     /// Every refusal is an `ErrorReply` the sending client answers by
     /// re-shipping the chunk in full.
+    #[allow(clippy::too_many_arguments)]
     fn on_delta_put(
         &mut self,
         from: NodeId,
@@ -466,6 +430,7 @@ impl Benefactor {
         basis: ChunkId,
         size: u32,
         delta: bytes::Bytes,
+        now: Time,
     ) {
         if !self.joined {
             self.actions.send(
@@ -478,16 +443,7 @@ impl Benefactor {
             );
             return;
         }
-        if self.index.contains_key(&chunk) {
-            // Content-addressed dedup: already stored, ack immediately.
-            self.actions.send(
-                from,
-                Msg::PutChunkOk {
-                    req,
-                    chunk,
-                    node: self.id,
-                },
-            );
+        if self.ack_stored(from, req, chunk, now) {
             return;
         }
         let Some(info) = self.index.get(&basis) else {
@@ -802,8 +758,8 @@ impl Benefactor {
 
     // ------------------------------------------------------------ timers
 
-    /// Runs time-based behaviour: joining, heartbeats, GC reports,
-    /// replication timeouts, stash re-offers.
+    /// Runs time-based behaviour: joining, heartbeats, GC reports and
+    /// replication timeouts.
     fn process_timeout(&mut self, now: Time) {
         if !self.joined {
             let due = self
@@ -869,35 +825,6 @@ impl Benefactor {
         for req in timed_out {
             self.on_put_ack(req, false);
         }
-        // Stash maintenance.
-        self.stash
-            .retain(|s| now.since(s.stored_at) <= self.cfg.stash_ttl);
-        let reoffer_due = self
-            .last_reoffer
-            .map(|t| now.since(t) >= self.cfg.reoffer_every)
-            .unwrap_or(true);
-        if reoffer_due && !self.stash.is_empty() {
-            self.last_reoffer = Some(now);
-            let id = self.id;
-            for i in 0..self.stash.len() {
-                let req = self.req();
-                let s = &mut self.stash[i];
-                s.last_offer_req = Some(req);
-                let msg = Msg::ReofferCommit {
-                    req,
-                    node: id,
-                    path: s.path.clone(),
-                    entries: s.entries.clone(),
-                    placements: s.placements.clone(),
-                };
-                self.actions.send(MANAGER_NODE, msg);
-            }
-        }
-    }
-
-    /// Number of stashed (not yet manager-acknowledged) commits.
-    pub fn stashed_commits(&self) -> usize {
-        self.stash.len()
     }
 }
 
@@ -949,15 +876,6 @@ impl Node for Benefactor {
         }
         for p in self.outstanding_puts.values() {
             next = earliest(next, Some(p.sent_at + self.cfg.put_timeout));
-        }
-        if !self.stash.is_empty() {
-            next = earliest(
-                next,
-                Some(match self.last_reoffer {
-                    Some(t) => t + self.cfg.reoffer_every,
-                    None => Time::ZERO,
-                }),
-            );
         }
         next
     }
@@ -1425,43 +1343,51 @@ mod tests {
     #[test]
     fn gc_report_respects_grace_period() {
         let mut b = make();
-        let old = Bytes::from_static(b"old");
-        let old_id = ChunkId::for_content(&old);
-        b.handle(
-            NodeId(7),
-            Msg::PutChunk {
-                req: RequestId(1),
-                chunk: old_id,
-                size: 3,
-                data: old,
-                background: false,
-            },
-            Time::ZERO,
-        );
-        let out = b.drain_actions();
-        if let Action::Store { op, .. } = out[0] {
-            b.handle_completion(Completion::Stored { op }, Time::ZERO);
+        let store = |b: &mut Benefactor, req: u64, data: &'static [u8], now: Time| {
+            let data = Bytes::from_static(data);
+            let chunk = ChunkId::for_content(&data);
+            b.handle(
+                NodeId(7),
+                Msg::PutChunk {
+                    req: RequestId(req),
+                    chunk,
+                    size: data.len() as u32,
+                    data,
+                    background: false,
+                },
+                now,
+            );
+            for a in b.drain_actions() {
+                if let Action::Store { op, .. } = a {
+                    b.handle_completion(Completion::Stored { op }, now);
+                }
+            }
             b.drain_actions();
-        }
+            chunk
+        };
         let later = Time::ZERO + Dur::from_millis(150);
-        let fresh = Bytes::from_static(b"fresh");
-        let fresh_id = ChunkId::for_content(&fresh);
+        let old_id = store(&mut b, 1, b"old", Time::ZERO);
+        let fresh_id = store(&mut b, 2, b"fresh", later);
+        // Orphans older than the grace period that a live session writes
+        // again, in full and as a delta: each re-put restarts the grace.
+        let reput_id = store(&mut b, 3, b"reput", Time::ZERO);
+        assert_eq!(store(&mut b, 4, b"reput", later), reput_id);
+        let redelta_id = store(&mut b, 5, b"redelta", Time::ZERO);
         b.handle(
             NodeId(7),
-            Msg::PutChunk {
-                req: RequestId(2),
-                chunk: fresh_id,
-                size: 5,
-                data: fresh,
-                background: false,
+            Msg::DeltaPutChunk {
+                req: RequestId(6),
+                chunk: redelta_id,
+                basis: old_id,
+                size: 7,
+                delta: Bytes::new(),
             },
             later,
         );
-        let out = b.drain_actions();
-        if let Action::Store { op, .. } = out[0] {
-            b.handle_completion(Completion::Stored { op }, later);
-            b.drain_actions();
-        }
+        assert!(matches!(
+            send_msgs(&b.drain_actions())[..],
+            [Msg::PutChunkOk { .. }]
+        ));
         b.handle(
             MANAGER_NODE,
             Msg::HeartbeatAck {
@@ -1480,38 +1406,16 @@ mod tests {
             Msg::GcReport { chunks, .. } => {
                 assert!(chunks.contains(&old_id), "old chunk reported");
                 assert!(!chunks.contains(&fresh_id), "fresh chunk withheld by grace");
+                assert!(
+                    !chunks.contains(&reput_id),
+                    "re-put chunk withheld by grace"
+                );
+                assert!(
+                    !chunks.contains(&redelta_id),
+                    "delta re-put chunk withheld by grace"
+                );
             }
             _ => unreachable!(),
         }
-    }
-
-    #[test]
-    fn stash_reoffers_until_acked() {
-        let mut b = make();
-        b.handle(
-            NodeId(7),
-            Msg::StashCommit {
-                req: RequestId(1),
-                path: "/f".into(),
-                entries: vec![],
-                placements: vec![],
-            },
-            Time::ZERO,
-        );
-        let out = b.drain_actions();
-        assert!(matches!(send_msgs(&out)[0], Msg::Ack { .. }));
-        assert_eq!(b.stashed_commits(), 1);
-        b.handle_timeout(Time::ZERO + Dur::from_millis(150));
-        let out = b.drain_actions();
-        let offer_req = send_msgs(&out)
-            .into_iter()
-            .find_map(|m| match m {
-                Msg::ReofferCommit { req, .. } => Some(*req),
-                _ => None,
-            })
-            .expect("reoffer");
-        // Manager acks: stash drains.
-        b.handle(MANAGER_NODE, Msg::Ack { req: offer_req }, Time::ZERO);
-        assert_eq!(b.stashed_commits(), 0);
     }
 }

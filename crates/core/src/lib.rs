@@ -7,12 +7,12 @@
 //!   registration, stripe allocation with eager space reservations,
 //!   versioned namespace with copy-on-write chunk sharing and reference
 //!   counting, background replication via shadow chunk-maps, pull-based
-//!   garbage collection, automated retention policies, and ⅔-concurrence
-//!   recovery from manager failure.
+//!   garbage collection, automated retention policies, and a write-ahead
+//!   log that a restarted manager replays (see [`Manager::replay`]).
 //! - [`Benefactor`]: a storage donor. Stores content-addressed chunks
 //!   (verifying hashes end-to-end), heartbeats free space, executes
-//!   replication copy orders, reports inventory for garbage collection, and
-//!   stashes client chunk-maps for manager recovery.
+//!   replication copy orders, and reports inventory for garbage
+//!   collection.
 //! - [`WriteSession`] / [`ReadSession`]: the client proxy data path. Three
 //!   write protocols (complete local write, incremental write, sliding
 //!   window), round-robin striping, optional incremental-checkpointing dedup

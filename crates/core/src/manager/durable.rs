@@ -17,15 +17,13 @@
 //! Soft (re-established by the protocols): benefactor liveness and free
 //! space (heartbeats), reservations and in-flight sessions (clients
 //! retry), replication jobs and pending pessimistic commits
-//! (maintenance re-plans from the restored chunk targets), re-offer
-//! tallies, and counters ([`ManagerStats`](crate::ManagerStats) restarts
-//! at zero).
+//! (maintenance re-plans from the restored chunk targets), and counters
+//! ([`ManagerStats`](crate::ManagerStats) restarts at zero).
 //!
+//! Replay is the only way a restarted manager gets its namespace back.
 //! A restored manager marks every known benefactor online with
 //! `gc_due = true`: the first heartbeat round triggers inventory (GC)
-//! reports that re-learn replica locations, and benefactor re-offers
-//! demote from *the* recovery mechanism to a consistency repair — a
-//! re-offer matching an already-replayed chunk-map is acked as stale.
+//! reports that re-learn replica locations.
 
 use std::collections::HashMap;
 

@@ -53,8 +53,6 @@ pub struct ManagerStats {
     pub gc_deletable: u64,
     /// Versions dropped by retention policies.
     pub policy_drops: u64,
-    /// Commits recovered through benefactor re-offers.
-    pub recovered_commits: u64,
 }
 
 /// Wire-dedup accounting accumulated across commits (paper §IV.C applied
@@ -192,13 +190,6 @@ pub(crate) struct PendingCommit {
     pub suggested_interval: Dur,
 }
 
-#[derive(Clone, Debug)]
-pub(crate) struct Reoffer {
-    pub node: NodeId,
-    pub entries: Vec<stdchk_proto::chunkmap::ChunkEntry>,
-    pub placements: Vec<(ChunkId, Vec<NodeId>)>,
-}
-
 /// The metadata manager state machine.
 #[derive(Debug)]
 pub struct Manager {
@@ -222,7 +213,6 @@ pub struct Manager {
     pub(crate) repair_keys_stale: bool,
     pub(crate) repl_jobs: HashMap<u64, ReplJob>,
     pub(crate) pending_commits: Vec<PendingCommit>,
-    pub(crate) reoffers: HashMap<String, Vec<Reoffer>>,
     pub(crate) last_policy_sweep: Time,
     pub(crate) last_gc_mark: Time,
     pub(crate) stats: ManagerStats,
@@ -266,7 +256,6 @@ impl Manager {
             repair_keys_stale: false,
             repl_jobs: HashMap::new(),
             pending_commits: Vec::new(),
-            reoffers: HashMap::new(),
             last_policy_sweep: Time::ZERO,
             last_gc_mark: Time::ZERO,
             stats: ManagerStats::default(),
@@ -427,13 +416,6 @@ impl Manager {
                 done,
                 failed,
             } => self.on_replicate_report(job, node, done, failed, now, out),
-            Msg::ReofferCommit {
-                req,
-                node,
-                path,
-                entries,
-                placements,
-            } => self.on_reoffer(req, node, path, entries, placements, now, out),
             Msg::ResolveNodes { req, nodes } => {
                 let addrs = nodes
                     .into_iter()

@@ -790,81 +790,6 @@ fn list_dir_shows_files_and_subdirs() {
 }
 
 #[test]
-fn reoffer_needs_two_thirds_concurrence() {
-    let mut h = Harness::new();
-    let nodes = h.join_benefactors(3);
-    let ents = entries(&[1, 2, 3], 50);
-    let placements: Vec<(ChunkId, Vec<NodeId>)> = vec![
-        (ChunkId::test_id(1), vec![nodes[0]]),
-        (ChunkId::test_id(2), vec![nodes[1]]),
-        (ChunkId::test_id(3), vec![nodes[2]]),
-    ];
-    // First offer: below threshold (need ceil(2/3·3)=2): silence.
-    let req = h.req();
-    h.mgr.handle(
-        nodes[0],
-        Msg::ReofferCommit {
-            req,
-            node: nodes[0],
-            path: "/rec/f".into(),
-            entries: ents.clone(),
-            placements: placements.clone(),
-        },
-        h.now,
-    );
-    let out = sends(&mut h.mgr);
-    assert!(
-        out.is_empty(),
-        "one offer of three must not commit: {out:?}"
-    );
-    // Second agreeing offer: accepted.
-    let req = h.req();
-    h.mgr.handle(
-        nodes[1],
-        Msg::ReofferCommit {
-            req,
-            node: nodes[1],
-            path: "/rec/f".into(),
-            entries: ents.clone(),
-            placements: placements.clone(),
-        },
-        h.now,
-    );
-    let out = sends(&mut h.mgr);
-    assert!(matches!(out[0].msg, Msg::Ack { .. }));
-    assert_eq!(h.mgr.stats().recovered_commits, 1);
-    // The file is now readable.
-    let req = h.req();
-    h.mgr.handle(
-        NodeId(77),
-        Msg::GetFile {
-            req,
-            path: "/rec/f".into(),
-            version: None,
-        },
-        h.now,
-    );
-    let out = sends(&mut h.mgr);
-    assert!(matches!(out[0].msg, Msg::FileViewReply { .. }));
-    // A third (late) offer is acked as stale.
-    let req = h.req();
-    h.mgr.handle(
-        nodes[2],
-        Msg::ReofferCommit {
-            req,
-            node: nodes[2],
-            path: "/rec/f".into(),
-            entries: ents,
-            placements,
-        },
-        h.now,
-    );
-    let out = sends(&mut h.mgr);
-    assert!(matches!(out[0].msg, Msg::Ack { .. }));
-    h.mgr.check_invariants();
-}
-
-#[test]
 fn stripe_selection_rotates_across_requests() {
     let mut h = Harness::new();
     h.join_benefactors(6);

@@ -1,6 +1,6 @@
 //! Write-path message handlers: session open (with eager reservation),
-//! reservation extension, atomic chunk-map commit, abort, deletion,
-//! policies, and manager-failure recovery via benefactor re-offers.
+//! reservation extension, atomic chunk-map commit, abort, deletion and
+//! policies.
 
 use std::collections::{HashMap, HashSet};
 
@@ -13,8 +13,7 @@ use stdchk_proto::ErrorCode;
 use stdchk_util::Time;
 
 use super::{
-    normalize, parent, ChunkMeta, FileState, Manager, PendingCommit, Reoffer, Reservation,
-    VersionRecord,
+    normalize, parent, ChunkMeta, FileState, Manager, PendingCommit, Reservation, VersionRecord,
 };
 use crate::node::ActionQueue;
 
@@ -22,8 +21,8 @@ impl Manager {
     /// Installs one sealed version: upserts chunk metadata (sizes,
     /// refcounts, replication targets, placement locations) and appends
     /// the version to the file entry, creating it if needed. Shared by
-    /// the client commit path, re-offer recovery, and WAL replay —
-    /// `file_hint` forces the file id when replaying a logged commit.
+    /// the client commit path and WAL replay — `file_hint` forces the
+    /// file id when replaying a logged commit.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn apply_version(
         &mut self,
@@ -526,83 +525,5 @@ impl Manager {
         if empty && !has_reservation {
             self.files.remove(path);
         }
-    }
-
-    // ------------------------------------------------------------ recovery
-
-    /// Handles a benefactor re-offer of a stashed commit after a manager
-    /// restart. The commit is accepted once re-offers from at least ⅔ of the
-    /// write stripe's benefactors agree on the identical chunk-map
-    /// (paper §IV.A, "dealing with failures").
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn on_reoffer(
-        &mut self,
-        req: RequestId,
-        node: NodeId,
-        path: String,
-        entries: Vec<ChunkEntry>,
-        placements: Vec<(ChunkId, Vec<NodeId>)>,
-        now: Time,
-        out: &mut ActionQueue,
-    ) {
-        let path = normalize(&path);
-        // Already committed with this exact map? Then the offer is stale:
-        // ack so the benefactor drops its stash.
-        if let Some(f) = self.files.get(&path) {
-            if f.versions
-                .iter()
-                .any(|v| v.map.entries() == entries.as_slice())
-            {
-                out.send(node, Msg::Ack { req });
-                return;
-            }
-        }
-        let offers = self.reoffers.entry(path.clone()).or_default();
-        offers.retain(|o| o.node != node);
-        offers.push(Reoffer {
-            node,
-            entries: entries.clone(),
-            placements: placements.clone(),
-        });
-        // Count agreeing offers for this exact chunk-map.
-        let agreeing: Vec<NodeId> = offers
-            .iter()
-            .filter(|o| o.entries == entries && o.placements == placements)
-            .map(|o| o.node)
-            .collect();
-        let stripe_size = {
-            let mut nodes: HashSet<NodeId> = HashSet::new();
-            for (_, locs) in &placements {
-                nodes.extend(locs.iter().copied());
-            }
-            nodes.len().max(1)
-        };
-        let needed = stripe_size.div_ceil(3) * 2; // ceil(2/3 · stripe) for stripe ≥ 1
-        let threshold = needed.min(stripe_size).max(1);
-        if agreeing.len() < threshold {
-            // Not enough concurrence yet: no reply; the benefactor re-offers
-            // on its next cycle.
-            return;
-        }
-        // Accept: synthesize the commit (and, with a metadata log
-        // attached, persist it like any other — recovered state must not
-        // be lost to the *next* crash).
-        self.reoffers.remove(&path);
-        let map = ChunkMap::from_entries(entries);
-        let version = VersionId(self.next_version);
-        self.next_version += 1;
-        let file_id = self.apply_version(&path, None, version, map.clone(), &placements, 1, now);
-        self.stats.commits += 1;
-        self.stats.recovered_commits += 1;
-        self.log_meta(out, || MetaRecord::Commit {
-            path,
-            file: file_id,
-            version,
-            mtime: now,
-            entries: map.entries().to_vec(),
-            placements,
-            replication: 1,
-        });
-        out.send(node, Msg::Ack { req });
     }
 }

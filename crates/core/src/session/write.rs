@@ -72,9 +72,6 @@ pub struct SessionConfig {
     pub pessimistic: bool,
     /// Per-chunk transfer retry budget before the session fails.
     pub put_retries: u32,
-    /// Stash the final chunk-map on the stripe's benefactors so a failed
-    /// manager can recover the commit (paper §IV.A).
-    pub stash_commits: bool,
     /// IW: sealed-but-unpushed temps tolerated before the app is blocked.
     pub max_pending_temps: usize,
     /// Bound on concurrently outstanding chunk transfers.
@@ -91,7 +88,6 @@ impl Default for SessionConfig {
             negotiate: false,
             pessimistic: false,
             put_retries: 3,
-            stash_commits: false,
             max_pending_temps: 2,
             max_inflight_puts: 16,
             stage_window: 8 << 20,
@@ -281,8 +277,6 @@ pub struct WriteSession {
     out_sigs: HashMap<ChunkId, ChunkSignature>,
     // Commit state.
     commit_req: Option<RequestId>,
-    stash_sent: bool,
-    stash_reqs: HashSet<RequestId>,
     stats: WriteStats,
     actions: ActionQueue,
 }
@@ -341,8 +335,6 @@ impl WriteSession {
             basis_homes: HashMap::new(),
             out_sigs: HashMap::new(),
             commit_req: None,
-            stash_sent: false,
-            stash_reqs: HashSet::new(),
             stats: WriteStats {
                 open_at: now,
                 ..WriteStats::default()
@@ -971,10 +963,6 @@ impl WriteSession {
                 self.stats.done_at = Some(now);
                 self.stats.suggested_interval = suggested_interval;
             }
-            Msg::Ack { req } => {
-                self.stash_reqs.remove(&req);
-                self.check_close_progress(now, out);
-            }
             Msg::ErrorReply { req, code, .. } => {
                 if self.commit_req == Some(req) || self.extend_pending == Some(req) {
                     self.fail(code, out);
@@ -989,9 +977,6 @@ impl WriteSession {
                     self.delta_rejected(req, now, out);
                 } else if self.pending_puts.contains_key(&req) {
                     self.put_failed(req, now, out);
-                } else {
-                    self.stash_reqs.remove(&req);
-                    self.check_close_progress(now, out);
                 }
             }
             _ => {}
@@ -1046,7 +1031,7 @@ impl WriteSession {
                 .staged
                 .iter()
                 .all(|c| c.deduped || self.verdicts.get(&c.entry.id) == Some(&Verdict::Reused));
-        if all_stored && self.commit_req.is_none() && self.stash_reqs.is_empty() {
+        if all_stored && self.commit_req.is_none() {
             self.staged.clear();
             let entries = self.entries.clone();
             let placements: Vec<(ChunkId, Vec<NodeId>)> = {
@@ -1058,24 +1043,6 @@ impl WriteSession {
                 v.sort_by_key(|a| a.0);
                 v
             };
-            if self.cfg.stash_commits && !self.stripe.is_empty() && !self.stash_sent {
-                self.stash_sent = true;
-                for node in self.stripe.clone() {
-                    let req = self.reqs.next();
-                    self.stash_reqs.insert(req);
-                    out.send(
-                        node,
-                        Msg::StashCommit {
-                            req,
-                            path: self.grant.path.clone(),
-                            entries: entries.clone(),
-                            placements: placements.clone(),
-                        },
-                    );
-                }
-                // Commit is sent once stashes ack (next pass).
-                return;
-            }
             let req = self.reqs.next();
             self.commit_req = Some(req);
             out.send(

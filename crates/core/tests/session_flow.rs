@@ -574,47 +574,6 @@ fn pessimistic_close_waits_for_replication() {
 }
 
 #[test]
-fn stashed_commits_survive_manager_restart() {
-    let mut pool = Pool::new(3);
-    let cfg = SessionConfig {
-        stash_commits: true,
-        ..sw_cfg()
-    };
-    let mut s = session_new(&mut pool, "/durable", cfg, 1);
-    let data = pattern(4096, 9);
-    s.write(&mut pool, &data);
-    s.close(&mut pool);
-    assert!(s.inner.is_done());
-    let stashed: usize = pool.benefactors.values().map(|b| b.stashed_commits()).sum();
-    assert!(stashed > 0, "stripe benefactors must hold the stash");
-
-    // The manager loses all metadata.
-    pool.mgr = Manager::new(PoolConfig::fast_for_tests());
-    let out = pool.ask_manager(Msg::GetFile {
-        req: RequestId(77),
-        path: "/durable".into(),
-        version: None,
-    });
-    assert!(matches!(out, Msg::ErrorReply { .. }), "metadata gone");
-
-    // Benefactors heartbeat (re-registering) and re-offer their stashes.
-    for _ in 0..5 {
-        pool.advance(Dur::from_millis(120), None);
-    }
-    let out = pool.ask_manager(Msg::GetFile {
-        req: RequestId(78),
-        path: "/durable".into(),
-        version: None,
-    });
-    assert!(
-        matches!(out, Msg::FileViewReply { .. }),
-        "recovered commit must be readable: {out:?}"
-    );
-    assert_eq!(pool.mgr.stats().recovered_commits, 1);
-    assert_eq!(read_back(&mut pool, "/durable"), data);
-}
-
-#[test]
 fn gc_reclaims_orphans_after_aborted_session() {
     let mut pool = Pool::new(2);
     let mut s = session_new(&mut pool, "/aborted", sw_cfg(), 1);

@@ -511,7 +511,7 @@ impl BenefApp {
 
 /// Blocking-lane job: reconnect the manager control plane. A benefactor
 /// outlives manager restarts — its next heartbeat re-registers it (soft
-/// state), and stashed commits are re-offered by its timers.
+/// state).
 fn mgr_redial(app: &Arc<BenefApp>, h: &ReactorHandle) {
     if h.is_shutdown() {
         return;

@@ -7,8 +7,7 @@
 //!   volatile ([`ManagerServer::spawn`], the paper's soft-state manager)
 //!   or durable ([`ManagerServer::spawn_durable`]): a
 //!   [`metalog::MetaLog`] write-ahead log + snapshots replayed at open,
-//!   so a restart serves `stat`/`list`/`open` immediately and benefactor
-//!   re-offers demote to a consistency repair.
+//!   so a restart serves `stat`/`list`/`open` immediately.
 //! - [`BenefactorServer`] — a storage donor: joins the pool, heartbeats,
 //!   serves chunks from a [`store::ChunkStore`] (the
 //!   [`store::SegmentStore`] append-only segment log with group commit on

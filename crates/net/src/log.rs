@@ -460,11 +460,7 @@ impl GroupCommit {
     /// I/O-lane pump must never eat an fsync), so that syncing seals +
     /// active covers everything up to the count. Runs until
     /// [`GroupCommit::begin_shutdown`].
-    pub fn flusher_loop(
-        &self,
-        commit_window: Duration,
-        snapshot: impl Fn() -> (u64, Vec<Arc<File>>, Arc<File>),
-    ) {
+    pub fn flusher_loop(&self, snapshot: impl Fn() -> (u64, Vec<Arc<File>>, Arc<File>)) {
         loop {
             {
                 let mut c = self.commit.lock();
@@ -476,10 +472,6 @@ impl GroupCommit {
                 if self.shutdown.load(Ordering::Relaxed) {
                     return;
                 }
-            }
-            if !commit_window.is_zero() {
-                // Let concurrent appends pile into the same sync_data.
-                std::thread::sleep(commit_window);
             }
             let (cum, seals, file) = snapshot();
             let res = self.faults.apply().and_then(|()| {

@@ -12,14 +12,13 @@
 //! metadata write-ahead log and the disk I/O lane its group-commit waits
 //! ride.
 //!
-//! [`ManagerServer::spawn`] runs the paper's volatile manager: a restart
-//! comes back empty and relies on benefactor re-offers.
-//! [`ManagerServer::spawn_durable`] attaches a [`MetaLog`]: the manager
-//! state machine write-ahead-logs every namespace mutation, a background
-//! thread installs periodic snapshots, and a restart replays snapshot +
-//! log before accepting its first connection — `stat`/`list`/`open`
-//! serve from replayed state immediately, and re-offers demote to a
-//! consistency repair.
+//! [`ManagerServer::spawn`] runs a volatile manager: a restart comes back
+//! with an empty namespace, and benefactors re-register through their
+//! heartbeats. [`ManagerServer::spawn_durable`] attaches a [`MetaLog`]:
+//! the manager state machine write-ahead-logs every namespace mutation, a
+//! background thread installs periodic snapshots, and a restart replays
+//! snapshot + log before accepting its first connection —
+//! `stat`/`list`/`open` serve from replayed state immediately.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io;
@@ -463,9 +462,8 @@ impl std::fmt::Debug for ManagerServer {
 
 impl ManagerServer {
     /// Binds `listen` (e.g. `"127.0.0.1:0"`) and starts serving with
-    /// volatile metadata (the paper's soft-state manager: a restart
-    /// relies on heartbeats and re-offers), with [`ServerOpts::default`]
-    /// transport tuning.
+    /// volatile metadata (a restart comes back with an empty namespace),
+    /// with [`ServerOpts::default`] transport tuning.
     ///
     /// # Errors
     ///

@@ -57,7 +57,6 @@ use std::fs::{self, File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use stdchk_util::ordlock::OrderedMutex;
 
@@ -82,11 +81,6 @@ const KIND_SNAPSHOT: u8 = 1;
 pub struct MetaLogConfig {
     /// Rotate the active WAL segment once it exceeds this many bytes.
     pub segment_bytes: u64,
-    /// Run group-commit `sync_data` on appends. Disable only for pools
-    /// whose metadata durability does not matter (throwaway test pools).
-    pub sync: bool,
-    /// Group-commit window (see the chunk store's equivalent knob).
-    pub commit_window: Duration,
     /// Ask for a snapshot once this many records accumulated since the
     /// last one (drivers poll [`MetaLog::wants_snapshot`]).
     pub snapshot_every: u64,
@@ -96,8 +90,6 @@ impl Default for MetaLogConfig {
     fn default() -> Self {
         MetaLogConfig {
             segment_bytes: 16 << 20,
-            sync: true,
-            commit_window: Duration::ZERO,
             snapshot_every: 4096,
         }
     }
@@ -364,23 +356,17 @@ impl MetaLog {
             ),
             gc: GroupCommit::new(appended),
         });
-        let flusher = if cfg.sync {
-            let core2 = Arc::clone(&core);
-            Some(
-                std::thread::Builder::new()
-                    .name("stdchk-meta-flush".into())
-                    .spawn(move || {
-                        core2.gc.flusher_loop(cfg.commit_window, || {
-                            let mut inner = core2.inner.lock();
-                            let seals = std::mem::take(&mut inner.pending_seals);
-                            (inner.appended, seals, Arc::clone(&inner.file))
-                        })
-                    })
-                    .map_err(io::Error::other)?,
-            )
-        } else {
-            None
-        };
+        let core2 = Arc::clone(&core);
+        let flusher = std::thread::Builder::new()
+            .name("stdchk-meta-flush".into())
+            .spawn(move || {
+                core2.gc.flusher_loop(|| {
+                    let mut inner = core2.inner.lock();
+                    let seals = std::mem::take(&mut inner.pending_seals);
+                    (inner.appended, seals, Arc::clone(&inner.file))
+                })
+            })
+            .map_err(io::Error::other)?;
         Ok((
             MetaLog {
                 dir,
@@ -388,7 +374,11 @@ impl MetaLog {
                 core,
                 install_mx: OrderedMutex::new(ranks::METALOG_INSTALL, "metalog.install", ()),
                 lane: OrderedMutex::new(ranks::METALOG_LANE, "metalog.lane", None),
-                flusher: OrderedMutex::new(ranks::METALOG_FLUSHER, "metalog.flusher", flusher),
+                flusher: OrderedMutex::new(
+                    ranks::METALOG_FLUSHER,
+                    "metalog.flusher",
+                    Some(flusher),
+                ),
                 _dir_lock: dir_lock,
             },
             MetaRecovery { snapshot, records },
@@ -450,14 +440,13 @@ impl MetaLog {
 
     /// Blocks until everything appended up to `target` (a watermark from
     /// [`MetaLog::submit_append_batch`]) is covered by a group commit.
-    /// No-op for unsynced logs.
     ///
     /// # Errors
     ///
     /// The flusher failed (the log is dead) or shut down first; nothing
     /// guarded by `target` may be acknowledged.
     pub fn wait_appended(&self, target: u64) -> io::Result<()> {
-        if self.cfg.sync && target > 0 {
+        if target > 0 {
             self.core.gc.wait_durable(target)?;
         }
         Ok(())
@@ -515,9 +504,7 @@ impl MetaLog {
     /// everything appended" invariant holds without an inline fsync on
     /// the appending thread).
     fn rotate_to(&self, inner: &mut Inner, next: u64) -> io::Result<()> {
-        if self.cfg.sync {
-            inner.pending_seals.push(Arc::clone(&inner.file));
-        }
+        inner.pending_seals.push(Arc::clone(&inner.file));
         let file = open_append(&wal_path(&self.dir, next), true)?;
         inner.active = next;
         inner.file = Arc::new(file);
@@ -602,10 +589,9 @@ impl MetaLog {
             Some(lane) => {
                 let (tx, rx) = std::sync::mpsc::channel();
                 let dir = self.dir.clone();
-                let sync = self.cfg.sync;
                 let core = Arc::clone(&self.core);
                 let submitted = lane.submit(move || {
-                    let _ = tx.send(install_phase2(&dir, sync, &core, &snap, base, seq));
+                    let _ = tx.send(install_phase2(&dir, &core, &snap, base, seq));
                 });
                 if submitted {
                     rx.recv()
@@ -617,7 +603,7 @@ impl MetaLog {
                     Err(io::Error::other("io lane shut down mid-install"))
                 }
             }
-            None => install_phase2(&self.dir, self.cfg.sync, &self.core, &snap, base, seq),
+            None => install_phase2(&self.dir, &self.core, &snap, base, seq),
         };
         if res.is_err() {
             // The tail counter was reset optimistically; re-arm so the
@@ -641,7 +627,6 @@ impl MetaLog {
 /// lane when one is attached); crash-safe at every step.
 fn install_phase2(
     dir: &Path,
-    sync: bool,
     core: &Core,
     snap: &MetaSnapshot,
     base: u64,
@@ -655,16 +640,12 @@ fn install_phase2(
     {
         let file = File::create(&tmp)?;
         write_all_two(&file, &header, &payload)?;
-        if sync {
-            core.gc.count_sync();
-            file.sync_data()?;
-        }
+        core.gc.count_sync();
+        file.sync_data()?;
     }
     fs::rename(&tmp, snap_path(dir, base))?;
-    if sync {
-        // The rename itself must survive a crash.
-        File::open(dir)?.sync_all()?;
-    }
+    // The rename itself must survive a crash.
+    File::open(dir)?.sync_all()?;
     for n in numbered(dir, "wal-", ".log")? {
         if n < base {
             fs::remove_file(wal_path(dir, n))?;
@@ -709,6 +690,7 @@ fn read_snapshot(path: &Path) -> io::Result<(MetaSnapshot, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use stdchk_proto::ids::{FileId, NodeId, VersionId};
     use stdchk_proto::policy::RetentionPolicy;
     use stdchk_util::Time;

@@ -87,8 +87,9 @@ pub const BENEF_RESOLVER: u16 = 270;
 pub const BENEF_APP: u16 = 280;
 
 // Reactor transport (reactor.rs). Workers take the conn
-// registry then a per-conn lock; `close_conn` folds stats after the
-// registry; app callbacks always run with every reactor lock released.
+// registry then a per-conn lock; `close_conn` and `transport_stats`
+// take the dead-conn stats while holding the registry; app callbacks
+// always run with every reactor lock released.
 /// `Inner.listeners`: armed listener registry.
 pub const REACTOR_LISTENERS: u16 = 500;
 /// `Inner.conns`: token → connection registry.

@@ -1035,8 +1035,12 @@ impl ReactorHandle {
 
     /// Cumulative transport counters over live and closed connections.
     pub fn transport_stats(&self) -> TransportStats {
+        // Read both under the registry lock: `close_conn` moves a
+        // connection from one to the other under it, so a closing
+        // connection is counted exactly once.
+        let conns = self.inner.conns.lock();
         let mut s = *self.inner.dead_stats.lock();
-        for conn in self.inner.conns.lock().values() {
+        for conn in conns.values() {
             s.fold(&conn.stats);
         }
         s
@@ -1205,8 +1209,11 @@ impl Inner {
             out.q.clear();
         }
         sys::epoll_del(self.workers[conn.worker].epfd, conn.stream.as_raw_fd());
-        self.conns.lock().remove(&conn.token);
-        self.dead_stats.lock().fold(&conn.stats);
+        {
+            let mut conns = self.conns.lock();
+            conns.remove(&conn.token);
+            self.dead_stats.lock().fold(&conn.stats);
+        }
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         if !self.is_shutdown() {
             self.app.on_close(conn.token, reason);

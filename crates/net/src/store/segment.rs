@@ -95,7 +95,6 @@ use stdchk_util::ordlock::OrderedMutex;
 use crate::ranks;
 
 use stdchk_proto::ids::ChunkId;
-use stdchk_util::crc32::Crc32;
 
 use crate::log::{
     acquire_dir_lock, encode_header, read_record, record_size, write_all_two, DirLock, GroupCommit,
@@ -116,22 +115,6 @@ pub struct SegmentStoreConfig {
     pub segment_bytes: u64,
     /// Compact a sealed segment once `dead / total` reaches this ratio.
     pub compact_dead_ratio: f64,
-    /// Run group-commit `sync_data` on puts. Disable only for stores whose
-    /// durability does not matter (throwaway test pools).
-    pub sync: bool,
-    /// How long the group-commit leader waits before flushing, letting
-    /// concurrent appends pile into the same `sync_data`. A put's latency
-    /// floor rises by this much; sustained multi-writer ingest gains a
-    /// bigger batch per flush. Zero (the default) disables the window —
-    /// batches then form naturally from the writers that queued during the
-    /// previous flush, which measures better wherever timer wakeups are
-    /// coarse (containers, loaded boxes).
-    pub commit_window: std::time::Duration,
-    /// Re-verify the record CRC on every `get`. Off by default: the
-    /// recovery scan already guarantees every indexed record was intact at
-    /// open, ids are content hashes verified end-to-end, and a read is then
-    /// a single `pread`. Enable to catch in-place bit rot at read time.
-    pub verify_reads: bool,
 }
 
 impl Default for SegmentStoreConfig {
@@ -139,9 +122,6 @@ impl Default for SegmentStoreConfig {
         SegmentStoreConfig {
             segment_bytes: 64 << 20,
             compact_dead_ratio: 0.5,
-            sync: true,
-            commit_window: std::time::Duration::ZERO,
-            verify_reads: false,
         }
     }
 }
@@ -379,38 +359,31 @@ impl SegmentStore {
             gc: GroupCommit::new(shared.appended),
             shared: OrderedMutex::new(ranks::STORE_SHARED, "segment.shared", shared),
         });
-        let flusher = if cfg.sync {
-            let core2 = Arc::clone(&core);
-            Some(
-                std::thread::Builder::new()
-                    .name("stdchk-seg-flush".into())
-                    .spawn(move || {
-                        // Snapshot under the shared lock: rotation hands
-                        // sealed-but-unsynced files over via
-                        // `pending_seals`, so syncing those plus the
-                        // current active file makes everything up to the
-                        // appended count durable.
-                        core2.gc.flusher_loop(cfg.commit_window, || {
-                            let mut shared = core2.shared.lock();
-                            let seals = std::mem::take(&mut shared.pending_seals);
-                            (
-                                shared.appended,
-                                seals,
-                                Arc::clone(&shared.segs[&shared.active].file),
-                            )
-                        })
-                    })
-                    .map_err(io::Error::other)?,
-            )
-        } else {
-            None
-        };
+        let core2 = Arc::clone(&core);
+        let flusher = std::thread::Builder::new()
+            .name("stdchk-seg-flush".into())
+            .spawn(move || {
+                // Snapshot under the shared lock: rotation hands
+                // sealed-but-unsynced files over via `pending_seals`, so
+                // syncing those plus the current active file makes
+                // everything up to the appended count durable.
+                core2.gc.flusher_loop(|| {
+                    let mut shared = core2.shared.lock();
+                    let seals = std::mem::take(&mut shared.pending_seals);
+                    (
+                        shared.appended,
+                        seals,
+                        Arc::clone(&shared.segs[&shared.active].file),
+                    )
+                })
+            })
+            .map_err(io::Error::other)?;
         let store = SegmentStore {
             dir,
             cfg,
             core,
             deferred: std::sync::atomic::AtomicBool::new(false),
-            flusher: OrderedMutex::new(ranks::STORE_FLUSHER, "segment.flusher", flusher),
+            flusher: OrderedMutex::new(ranks::STORE_FLUSHER, "segment.flusher", Some(flusher)),
             _dir_lock: dir_lock,
         };
         // A crash (or an old layout) may have left mostly-dead sealed
@@ -469,10 +442,8 @@ impl SegmentStore {
     /// still covers sealed bytes because the flusher syncs pending seals
     /// before advancing the durable watermark.
     fn rotate(&self, shared: &mut Shared) -> io::Result<()> {
-        if self.cfg.sync {
-            let sealed = Arc::clone(&shared.segs[&shared.active].file);
-            shared.pending_seals.push(sealed);
-        }
+        let sealed = Arc::clone(&shared.segs[&shared.active].file);
+        shared.pending_seals.push(sealed);
         let next = shared.active + 1;
         let file = OpenOptions::new()
             .read(true)
@@ -622,10 +593,8 @@ impl SegmentStore {
         // The copies must be durable before the originals disappear. The
         // inline sync must also cover any rotation-deferred seal syncs,
         // or marking `appended` durable would over-promise.
-        if self.cfg.sync {
-            self.sync_all(shared)?;
-            self.core.gc.mark_durable(shared.appended);
-        }
+        self.sync_all(shared)?;
+        self.core.gc.mark_durable(shared.appended);
         shared.segs.remove(&n);
         fs::remove_file(seg_path(&self.dir, n))?;
         Ok(())
@@ -749,7 +718,7 @@ impl ChunkStore for SegmentStore {
     }
 
     fn wait_put(&self, token: u64) -> io::Result<()> {
-        if self.cfg.sync && token > 0 {
+        if token > 0 {
             self.group_commit(token)?;
         }
         Ok(())
@@ -796,15 +765,7 @@ impl ChunkStore for SegmentStore {
         let mut buf = vec![0u8; HEADER + loc.len as usize];
         file.read_exact_at(&mut buf, loc.off)?;
         let len = crate::log::le_u32(&buf, 0);
-        let header_ok = len == loc.len && buf[4] == KIND_PUT && buf[5..37] == *id.as_bytes();
-        let crc_ok = !self.cfg.verify_reads || {
-            let stored = crate::log::le_u32(&buf, 37);
-            let mut crc = Crc32::new();
-            crc.update(&buf[..37]);
-            crc.update(&buf[HEADER..]);
-            crc.finalize() == stored
-        };
-        if !(header_ok && crc_ok) {
+        if !(len == loc.len && buf[4] == KIND_PUT && buf[5..37] == *id.as_bytes()) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "segment record failed integrity check",
@@ -816,14 +777,10 @@ impl ChunkStore for SegmentStore {
 
     /// Sealed records are immutable on disk, so their payload can go to a
     /// socket with `sendfile` straight from the segment file. Records still
-    /// in the active segment fall back to [`ChunkStore::get`] (`None`), as
-    /// does everything when `verify_reads` demands a CRC pass over the
-    /// payload. The 41-byte record header is still read and checked here —
-    /// only the payload bytes skip user space.
+    /// in the active segment fall back to [`ChunkStore::get`] (`None`).
+    /// The 41-byte record header is still read and checked here — only
+    /// the payload bytes skip user space.
     fn read_region(&self, id: ChunkId) -> Option<super::FileRegion> {
-        if self.cfg.verify_reads {
-            return None;
-        }
         let (file, loc) = {
             let shared = self.core.shared.lock();
             let loc = shared.index.get(&id).copied()?;
@@ -983,7 +940,6 @@ mod tests {
         let cfg = SegmentStoreConfig {
             segment_bytes: 8 << 10,
             compact_dead_ratio: 0.5,
-            ..Default::default()
         };
         let store = SegmentStore::open_with(&dir, cfg).unwrap();
         let mut ids = Vec::new();
@@ -1099,7 +1055,6 @@ mod tests {
         let cfg = SegmentStoreConfig {
             segment_bytes: 4 << 10,
             compact_dead_ratio: 0.3,
-            ..Default::default()
         };
         let (victim_id, victim_data) = chunk(500, 1 << 10);
         {
@@ -1156,7 +1111,6 @@ mod tests {
         let cfg = SegmentStoreConfig {
             segment_bytes: 8 << 10,
             compact_dead_ratio: 0.5,
-            ..Default::default()
         };
         let store = SegmentStore::open_with(&dir, cfg).unwrap();
         store.set_deferred_maintenance(true);

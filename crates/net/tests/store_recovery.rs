@@ -149,7 +149,6 @@ proptest! {
         let cfg = SegmentStoreConfig {
             segment_bytes: 8 << 10,
             compact_dead_ratio: 0.4,
-            ..Default::default()
         };
         let model = MemStore::new();
         let mut store = SegmentStore::open_with(&dir, cfg).map_err(|e| e.to_string())?;

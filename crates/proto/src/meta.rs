@@ -2,13 +2,13 @@
 //!
 //! The manager's namespace — files, version history, chunk reference
 //! counts, retention policies, benefactor membership — is soft state in
-//! the paper: a crashed manager restarts empty and relies on benefactor
-//! re-offers, which can recover chunk *commits* but not names, version
-//! ids, or policies. To close that gap the manager write-ahead-logs every
+//! the paper: a crashed manager restarts empty and recovers committed
+//! files from chunk-maps that benefactors re-offer, but not names,
+//! version ids, or policies. Here the manager write-ahead-logs every
 //! namespace mutation as a [`MetaRecord`] and periodically serializes its
 //! whole durable state as a [`MetaSnapshot`]; a restarted manager replays
-//! snapshot + log and serves `stat`/`list`/`open` immediately, demoting
-//! re-offers to a consistency-repair path.
+//! snapshot + log and serves `stat`/`list`/`open` immediately. This log
+//! is the only way a restarted manager recovers its namespace.
 //!
 //! Both types use the same hand-written [`Wire`] encoding as the protocol
 //! messages, so the log format inherits the codec's round-trip property
@@ -27,15 +27,15 @@ use stdchk_util::{Dur, Time};
 /// One durable mutation of the manager's metadata, in commit order.
 ///
 /// Records log *observable namespace state* only. Transient state —
-/// reservations, in-flight replication jobs, pending pessimistic commits,
-/// re-offer tallies — is deliberately not logged: a restart drops it and
-/// the protocols re-establish it (clients retry, maintenance re-plans).
+/// reservations, in-flight replication jobs, pending pessimistic commits —
+/// is deliberately not logged: a restart drops it and the protocols
+/// re-establish it (clients retry, maintenance re-plans).
 #[derive(Clone, Debug, PartialEq)]
 pub enum MetaRecord {
-    /// A version was sealed and became visible — by a client
-    /// `CommitChunkMap` or by an accepted benefactor re-offer. Carries
-    /// everything replay needs to rebuild the file entry, the chunk
-    /// reference counts, and the primary placements.
+    /// A version was sealed and became visible through a client
+    /// `CommitChunkMap`. Carries everything replay needs to rebuild the
+    /// file entry, the chunk reference counts, and the primary
+    /// placements.
     Commit {
         /// Normalized file path.
         path: String,

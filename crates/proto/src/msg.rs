@@ -9,8 +9,8 @@
 //!   retention policies;
 //! - **client ↔ benefactor** — the data path: `PutChunk`/`GetChunk`;
 //! - **benefactor ↔ manager** — soft-state registration (heartbeats carrying
-//!   free space), pull-based garbage collection, replication commands and
-//!   reports, and manager-recovery re-offers;
+//!   free space), pull-based garbage collection, and replication commands
+//!   and reports;
 //! - **benefactor ↔ benefactor** — replication copies reuse `PutChunk` with
 //!   `background = true` so they can be de-prioritized below client writes.
 
@@ -412,34 +412,6 @@ pub enum Msg {
         chunks: Vec<ChunkId>,
     },
 
-    // ------------------------------------------------------ manager recovery
-    /// Client → benefactor: stash the final chunk-map so it can be re-offered
-    /// if the manager fails before the commit (paper §IV.A failure handling).
-    StashCommit {
-        /// Request id.
-        req: RequestId,
-        /// Path being written.
-        path: String,
-        /// Chunk-map in file order.
-        entries: Vec<ChunkEntry>,
-        /// Primary placements.
-        placements: Vec<(ChunkId, Vec<NodeId>)>,
-    },
-    /// Benefactor → manager after a manager restart: re-offer a stashed
-    /// commit. The manager accepts the file once ≥ ⅔ of the stripe concurs.
-    ReofferCommit {
-        /// Request id.
-        req: RequestId,
-        /// Re-offering benefactor.
-        node: NodeId,
-        /// Path that was being written.
-        path: String,
-        /// Chunk-map in file order.
-        entries: Vec<ChunkEntry>,
-        /// Primary placements.
-        placements: Vec<(ChunkId, Vec<NodeId>)>,
-    },
-
     // ------------------------------------------------------ data path
     /// Stores one chunk on a benefactor.
     PutChunk {
@@ -535,8 +507,6 @@ impl Msg {
             | JoinOk { req, .. }
             | GcReport { req, .. }
             | GcReply { req, .. }
-            | StashCommit { req, .. }
-            | ReofferCommit { req, .. }
             | PutChunk { req, .. }
             | PutChunkOk { req, .. }
             | GetChunk { req, .. }
@@ -811,8 +781,6 @@ msg_tags! {
     46 => ReplicateCmd,
     47 => ReplicateReport,
     48 => DeleteChunks,
-    50 => StashCommit,
-    51 => ReofferCommit,
     60 => PutChunk,
     61 => PutChunkOk,
     62 => GetChunk,
@@ -1031,30 +999,6 @@ impl Wire for Msg {
                 failed.encode(w);
             }
             Msg::DeleteChunks { chunks } => chunks.encode(w),
-            Msg::StashCommit {
-                req,
-                path,
-                entries,
-                placements,
-            } => {
-                req.encode(w);
-                path.encode(w);
-                entries.encode(w);
-                placements.encode(w);
-            }
-            Msg::ReofferCommit {
-                req,
-                node,
-                path,
-                entries,
-                placements,
-            } => {
-                req.encode(w);
-                node.encode(w);
-                path.encode(w);
-                entries.encode(w);
-                placements.encode(w);
-            }
             Msg::PutChunk {
                 req,
                 chunk,
@@ -1270,19 +1214,6 @@ impl Wire for Msg {
             48 => Msg::DeleteChunks {
                 chunks: Vec::decode(r)?,
             },
-            50 => Msg::StashCommit {
-                req: RequestId::decode(r)?,
-                path: String::decode(r)?,
-                entries: Vec::decode(r)?,
-                placements: Vec::decode(r)?,
-            },
-            51 => Msg::ReofferCommit {
-                req: RequestId::decode(r)?,
-                node: NodeId::decode(r)?,
-                path: String::decode(r)?,
-                entries: Vec::decode(r)?,
-                placements: Vec::decode(r)?,
-            },
             60 => Msg::PutChunk {
                 req: RequestId::decode(r)?,
                 chunk: ChunkId::decode(r)?,
@@ -1468,19 +1399,6 @@ mod tests {
                 }],
                 failed: vec![],
             },
-            Msg::StashCommit {
-                req: RequestId(10),
-                path: "/a".into(),
-                entries: vec![e(4, 44)],
-                placements: vec![(ChunkId::test_id(4), vec![NodeId(2)])],
-            },
-            Msg::ReofferCommit {
-                req: RequestId(11),
-                node: NodeId(2),
-                path: "/a".into(),
-                entries: vec![e(4, 44)],
-                placements: vec![(ChunkId::test_id(4), vec![NodeId(2)])],
-            },
             Msg::PutChunk {
                 req: RequestId(12),
                 chunk: ChunkId::for_content(b"data!"),
@@ -1542,7 +1460,17 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_rejected() {
-        assert!(Msg::from_wire_bytes(&[250]).is_err());
+        // 50 and 51 are retired: they carried the removed commit re-offer
+        // protocol. A known tag with no body would fail as truncated.
+        for tag in [50, 51, 250] {
+            assert!(
+                matches!(
+                    Msg::from_wire_bytes(&[tag]),
+                    Err(ProtoError::Malformed { .. })
+                ),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

@@ -232,19 +232,6 @@ fn one_of_each() -> Vec<Msg> {
         Msg::DeleteChunks {
             chunks: vec![ChunkId::test_id(2)],
         },
-        Msg::StashCommit {
-            req,
-            path: "/app/ckpt.0".into(),
-            entries: entries(),
-            placements: placements(),
-        },
-        Msg::ReofferCommit {
-            req,
-            node: NodeId(4),
-            path: "/app/ckpt.0".into(),
-            entries: entries(),
-            placements: placements(),
-        },
         Msg::PutChunk {
             req,
             chunk: ChunkId::test_id(1),
@@ -282,7 +269,7 @@ fn one_of_each() -> Vec<Msg> {
 /// below (and the analyzer's `wire-msg-coverage` rule names it).
 const ALL_TAGS: &[u8] = &[
     0, 1, 2, 3, 4, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29,
-    30, 40, 41, 42, 43, 44, 45, 46, 47, 48, 50, 51, 60, 61, 62, 63, 64,
+    30, 40, 41, 42, 43, 44, 45, 46, 47, 48, 60, 61, 62, 63, 64,
 ];
 
 #[test]
@@ -436,12 +423,11 @@ proptest! {
     // which random byte soup essentially never reaches.
     #[test]
     fn mutated_encodings_never_panic(
-        which in 0usize..42,
+        which in 0..one_of_each().len(),
         pos_seed in any::<usize>(),
         xor in 1u8..255,
     ) {
-        let msgs = one_of_each();
-        let mut bytes = msgs[which % msgs.len()].to_wire_bytes().to_vec();
+        let mut bytes = one_of_each()[which].to_wire_bytes().to_vec();
         let pos = pos_seed % bytes.len();
         bytes[pos] ^= xor;
         let _ = Msg::from_wire_bytes(&bytes);

@@ -470,8 +470,6 @@ impl SimCluster {
             // Short enough that repair copies stranded by a mid-transfer
             // departure retry within a chaos scenario's horizon.
             put_timeout: Dur::from_secs(15),
-            reoffer_every: Dur::from_secs(10),
-            stash_ttl: Dur::from_secs(3600),
         });
         for i in 0..cfg.benefactors {
             let id = NodeId(BENEF_BASE + i as u64);

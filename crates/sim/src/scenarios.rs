@@ -89,8 +89,6 @@ pub fn chaos_bcfg(pool: &PoolConfig) -> BenefactorConfig {
         gc_grace: Dur::ZERO,
         gc_min_interval: Dur::from_secs(1),
         put_timeout: Dur::from_secs(15),
-        reoffer_every: Dur::from_secs(10),
-        stash_ttl: Dur::from_secs(3600),
     }
 }
 
