@@ -378,6 +378,31 @@ impl Benefactor {
                 return;
             }
         }
+        let payload = if data.is_empty() {
+            Payload::Virtual { size, tag: 0 }
+        } else {
+            Payload::Real(data)
+        };
+        self.admit(from, req, chunk, size, payload, now);
+    }
+
+    /// Admits a verified chunk: acks it if it is already stored (a put
+    /// of the same chunk may have landed first), else checks capacity,
+    /// indexes it, charges its size to `used` and queues its `Store`.
+    /// Every path that stores a chunk goes through here, so one chunk is
+    /// charged and stored once.
+    fn admit(
+        &mut self,
+        from: NodeId,
+        req: RequestId,
+        chunk: ChunkId,
+        size: u32,
+        payload: Payload,
+        now: Time,
+    ) {
+        if self.ack_stored(from, req, chunk, now) {
+            return;
+        }
         if self.used + size as u64 > self.total {
             self.actions.send(
                 from,
@@ -398,11 +423,6 @@ impl Benefactor {
         );
         self.used += size as u64;
         let op = self.op();
-        let payload = if data.is_empty() {
-            Payload::Virtual { size, tag: 0 }
-        } else {
-            Payload::Real(data)
-        };
         self.pending_stores.insert(
             op,
             PendingStore {
@@ -576,54 +596,22 @@ impl Benefactor {
                     // to patch; refuse so the client falls back to full.
                     Payload::Virtual { .. } => None,
                 };
-                let ok = full
-                    .as_deref()
-                    .is_some_and(|f| f.len() == size as usize && target.verify(f));
-                if !ok {
-                    self.actions.send(
+                match full.filter(|f| f.len() == size as usize && target.verify(f)) {
+                    // Capacity may have shrunk, or a full put of the
+                    // target may have landed, while the basis was loading.
+                    Some(full) => {
+                        let payload = Payload::Real(bytes::Bytes::from(full));
+                        self.admit(to, req, target, size, payload, now);
+                    }
+                    None => self.actions.send(
                         to,
                         Msg::ErrorReply {
                             req,
                             code: ErrorCode::Corrupt,
                             detail: format!("delta for {target} does not reconstruct its content"),
                         },
-                    );
-                    return;
+                    ),
                 }
-                if self.used + size as u64 > self.total {
-                    // Capacity may have shrunk while the basis was loading.
-                    self.actions.send(
-                        to,
-                        Msg::ErrorReply {
-                            req,
-                            code: ErrorCode::NoSpace,
-                            detail: format!("{} bytes free", self.free_space()),
-                        },
-                    );
-                    return;
-                }
-                self.index.insert(
-                    target,
-                    ChunkInfo {
-                        size,
-                        stored_at: now,
-                    },
-                );
-                self.used += size as u64;
-                let op = self.op();
-                self.pending_stores.insert(
-                    op,
-                    PendingStore {
-                        req,
-                        chunk: target,
-                        reply_to: to,
-                    },
-                );
-                self.actions.push(Action::Store {
-                    op,
-                    chunk: target,
-                    payload: Payload::Real(bytes::Bytes::from(full.expect("checked ok"))),
-                });
             }
         }
     }
@@ -1338,6 +1326,91 @@ mod tests {
             Msg::ReplicateReport { failed, .. } => assert_eq!(failed.len(), 1),
             _ => unreachable!(),
         }
+    }
+
+    #[test]
+    fn delta_apply_after_a_racing_full_put_stores_once() {
+        use stdchk_chunker::delta::{delta_encode, ChunkSignature};
+        let stores_of = |out: &[Action], id: ChunkId| {
+            out.iter()
+                .filter(|a| matches!(a, Action::Store { chunk, .. } if *chunk == id))
+                .count()
+        };
+        let mut b = make();
+        let basis: Vec<u8> = (0..4096u32).map(|i| (i * 7 % 251) as u8).collect();
+        let mut target = basis.clone();
+        target[3000..3010].copy_from_slice(b"edited....");
+        let basis_id = ChunkId::for_content(&basis);
+        let target_id = ChunkId::for_content(&target);
+        b.handle(
+            NodeId(7),
+            Msg::PutChunk {
+                req: RequestId(1),
+                chunk: basis_id,
+                size: 4096,
+                data: Bytes::from(basis.clone()),
+                background: false,
+            },
+            Time::ZERO,
+        );
+        for a in b.drain_actions() {
+            if let Action::Store { op, .. } = a {
+                b.handle_completion(Completion::Stored { op }, Time::ZERO);
+            }
+        }
+        b.drain_actions();
+        // A delta of the target: the benefactor loads the basis first.
+        let delta = delta_encode(&ChunkSignature::build(&basis, 512), &target).expect("delta");
+        b.handle(
+            NodeId(7),
+            Msg::DeltaPutChunk {
+                req: RequestId(2),
+                chunk: target_id,
+                basis: basis_id,
+                size: 4096,
+                delta: Bytes::from(delta),
+            },
+            Time::ZERO,
+        );
+        let load_op = match &b.drain_actions()[..] {
+            [Action::Load { op, .. }] => *op,
+            other => panic!("expected a basis load, got {other:?}"),
+        };
+        // A full put of the target lands while the basis is loading.
+        b.handle(
+            NodeId(8),
+            Msg::PutChunk {
+                req: RequestId(3),
+                chunk: target_id,
+                size: 4096,
+                data: Bytes::from(target),
+                background: false,
+            },
+            Time::ZERO,
+        );
+        let mut stores = stores_of(&b.drain_actions(), target_id);
+        b.handle_completion(
+            Completion::Loaded {
+                op: load_op,
+                chunk: basis_id,
+                payload: Payload::Real(Bytes::from(basis)),
+            },
+            Time::ZERO,
+        );
+        let out = b.drain_actions();
+        stores += stores_of(&out, target_id);
+        assert_eq!(stores, 1, "the target is stored once");
+        assert_eq!(b.used_space(), 8192, "basis and target each charged once");
+        assert!(
+            matches!(
+                send_msgs(&out)[..],
+                [Msg::PutChunkOk {
+                    req: RequestId(2),
+                    ..
+                }]
+            ),
+            "the delta put is acked"
+        );
     }
 
     #[test]

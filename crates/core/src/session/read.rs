@@ -42,7 +42,6 @@ pub struct ReadSession {
     view: FileVersionView,
     reqs: ReqGen,
     window: usize,
-    verify: bool,
     next_issue: usize,
     inflight: HashMap<RequestId, InFlight>,
     attempts: HashMap<usize, u32>,
@@ -56,10 +55,8 @@ pub struct ReadSession {
 impl ReadSession {
     /// Opens a read over a version view obtained from the manager.
     ///
-    /// `window` is the read-ahead depth in chunks; `verify` enables content
-    /// hash verification (disable under the simulator where payloads are
-    /// virtual).
-    pub fn new(session_id: u64, view: FileVersionView, window: usize, verify: bool) -> ReadSession {
+    /// `window` is the read-ahead depth in chunks.
+    pub fn new(session_id: u64, view: FileVersionView, window: usize) -> ReadSession {
         let state = if view.map.is_empty() {
             ReadState::Done
         } else {
@@ -69,7 +66,6 @@ impl ReadSession {
             view,
             reqs: ReqGen::new(session_id),
             window: window.max(1),
-            verify,
             next_issue: 0,
             inflight: HashMap::new(),
             attempts: HashMap::new(),
@@ -142,31 +138,18 @@ impl ReadSession {
     fn process_msg(&mut self, msg: Msg, out: &mut ActionQueue) {
         match msg {
             Msg::GetChunkOk {
-                req,
-                chunk,
-                size,
-                data,
-                ..
+                req, chunk, data, ..
             } => {
                 let Some(inf) = self.inflight.remove(&req) else {
                     return;
                 };
+                // The reply must carry the chunk's bytes, and they must
+                // hash to its id; a `size` alone proves nothing.
                 let expected = self.view.map.entries()[inf.slot];
-                let ok = if !data.is_empty() {
-                    data.len() as u64 == expected.size as u64
-                        && (!self.verify || chunk.verify(&data))
+                if data.len() as u64 == expected.size as u64 && chunk.verify(&data) {
+                    self.ready.insert(inf.slot, Payload::Real(data));
                 } else {
-                    size == expected.size
-                };
-                if ok {
-                    let payload = if data.is_empty() {
-                        Payload::Virtual { size, tag: 0 }
-                    } else {
-                        Payload::Real(data)
-                    };
-                    self.ready.insert(inf.slot, payload);
-                } else {
-                    // Corrupt replica: try another holder.
+                    // Corrupt or empty reply: try another holder.
                     *self.attempts.entry(inf.slot).or_insert(0) += 1;
                     self.issue(inf.slot, out);
                 }
@@ -284,7 +267,7 @@ mod tests {
     #[test]
     fn delivers_in_order_despite_out_of_order_replies() {
         let v = view(&[b"aaaa", b"bbbb", b"cc"], &[&[1], &[2], &[1]]);
-        let mut rs = ReadSession::new(1, v, 8, true);
+        let mut rs = ReadSession::new(1, v, 8);
         let actions = rs.drain_actions();
         assert_eq!(actions.len(), 3);
         let mut replies = reply_for(&actions, |c| {
@@ -314,7 +297,7 @@ mod tests {
             &[b"1", b"2", b"3", b"4", b"5"],
             &[&[1], &[1], &[1], &[1], &[1]],
         );
-        let mut rs = ReadSession::new(1, v, 2, true);
+        let mut rs = ReadSession::new(1, v, 2);
         let actions = rs.drain_actions();
         assert_eq!(actions.len(), 2, "read-ahead window respected");
     }
@@ -322,7 +305,7 @@ mod tests {
     #[test]
     fn corrupt_reply_retries_other_replica() {
         let v = view(&[b"data"], &[&[1, 2]]);
-        let mut rs = ReadSession::new(1, v, 4, true);
+        let mut rs = ReadSession::new(1, v, 4);
         let actions = rs.drain_actions();
         let (req, chunk) = match &actions[0] {
             Action::Send {
@@ -372,7 +355,7 @@ mod tests {
     #[test]
     fn exhausted_replicas_fail_the_read() {
         let v = view(&[b"x"], &[&[1]]);
-        let mut rs = ReadSession::new(1, v, 4, true);
+        let mut rs = ReadSession::new(1, v, 4);
         let actions = rs.drain_actions();
         let Action::Send {
             msg: Msg::GetChunk { req, .. },
@@ -397,7 +380,7 @@ mod tests {
     fn chunk_with_no_holders_fails_immediately() {
         let mut v = view(&[b"x"], &[&[1]]);
         v.locations.clear();
-        let mut rs = ReadSession::new(1, v, 4, true);
+        let mut rs = ReadSession::new(1, v, 4);
         rs.drain_actions();
         assert!(matches!(rs.state(), ReadState::Failed(_)));
     }
@@ -405,35 +388,56 @@ mod tests {
     #[test]
     fn empty_file_is_immediately_done() {
         let v = FileVersionView::default();
-        let mut rs = ReadSession::new(1, v, 4, true);
+        let mut rs = ReadSession::new(1, v, 4);
         assert!(rs.is_done());
         assert!(rs.drain_actions().is_empty());
     }
 
     #[test]
-    fn virtual_replies_check_size_only() {
-        let v = view(&[b"abcd"], &[&[1]]);
-        let mut rs = ReadSession::new(1, v, 4, false);
-        let actions = rs.drain_actions();
-        let Action::Send {
-            msg: Msg::GetChunk { req, chunk },
-            ..
-        } = &actions[0]
-        else {
-            panic!();
+    fn empty_reply_is_not_a_chunk() {
+        // A `GetChunkOk` whose `size` matches but that carries no bytes.
+        let empty_reply = |rs: &mut ReadSession, actions: &[Action]| {
+            let Action::Send {
+                to,
+                msg: Msg::GetChunk { req, chunk },
+            } = &actions[0]
+            else {
+                panic!("unexpected {actions:?}");
+            };
+            rs.handle(
+                *to,
+                Msg::GetChunkOk {
+                    req: *req,
+                    chunk: *chunk,
+                    size: 4,
+                    data: Bytes::new(),
+                },
+                Time::ZERO,
+            );
         };
-        rs.handle(
-            NodeId(1),
-            Msg::GetChunkOk {
-                req: *req,
-                chunk: *chunk,
-                size: 4,
-                data: Bytes::new(),
-            },
-            Time::ZERO,
+        // With a second holder, the read fails over to it.
+        let v = view(&[b"abcd"], &[&[1, 2]]);
+        let mut rs = ReadSession::new(1, v, 4);
+        let first = rs.drain_actions();
+        empty_reply(&mut rs, &first);
+        assert!(rs.next_ready().is_none(), "no bytes, no chunk");
+        let retry = rs.drain_actions();
+        assert!(
+            matches!(
+                &retry[..],
+                [Action::Send {
+                    to: NodeId(2),
+                    msg: Msg::GetChunk { .. },
+                }]
+            ),
+            "must retry on the other holder: {retry:?}"
         );
-        let (_, p) = rs.next_ready().expect("virtual chunk delivered");
-        assert_eq!(p.len(), 4);
-        assert!(rs.is_done());
+        // With one holder, the read fails cleanly.
+        let v = view(&[b"abcd"], &[&[1]]);
+        let mut rs = ReadSession::new(1, v, 4);
+        let first = rs.drain_actions();
+        empty_reply(&mut rs, &first);
+        assert!(rs.next_ready().is_none());
+        assert_eq!(rs.state(), ReadState::Failed(ErrorCode::Unavailable));
     }
 }

@@ -334,7 +334,7 @@ impl Harness {
             }) => view,
             other => panic!("expected file view, got {other:?}"),
         };
-        let mut rs = ReadSession::new(43, view, 4, true);
+        let mut rs = ReadSession::new(43, view, 4);
         let mut out = Vec::new();
         let mut guard = 0;
         while !rs.is_done() {

@@ -295,7 +295,7 @@ fn read_back(pool: &mut Pool, path: &str) -> Vec<u8> {
         Msg::FileViewReply { view, .. } => view,
         other => panic!("get failed: {other:?}"),
     };
-    let mut rs = ReadSession::new(2, view, 4, true);
+    let mut rs = ReadSession::new(2, view, 4);
     let mut result = Vec::new();
     let mut guard = 0;
     while !rs.is_done() {

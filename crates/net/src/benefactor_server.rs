@@ -164,8 +164,8 @@ pub struct BenefEffects {
     /// dials and I/O-lane completions. Set once at spawn; cleared at
     /// shutdown to break the effects → app → host → effects cycle.
     app: OrderedMutex<Option<Arc<BenefApp>>>,
-    /// Durable store waits and deferred compaction ride here instead of
-    /// the executing pump.
+    /// Durable store waits and compaction (`maintain`) ride here instead
+    /// of the executing pump.
     lane: Arc<IoLane>,
 }
 
@@ -239,8 +239,8 @@ impl Effects for Arc<BenefEffects> {
             }
             Action::DropChunk { chunk } => {
                 // The tombstone append runs here (cheap, order-fixing);
-                // in deferred-maintenance mode any compaction it
-                // triggers waits for `maintain` on the I/O lane.
+                // any compaction it makes due waits for `maintain` on
+                // the I/O lane.
                 let _ = self.store.delete(chunk);
                 self.schedule_maintenance();
                 None
@@ -316,8 +316,8 @@ impl BenefEffects {
         }
     }
 
-    /// Queues one opportunistic `maintain` pass (deferred compaction) on
-    /// the I/O lane. Nonblocking and lossy by design: a refused submit
+    /// Queues one opportunistic `maintain` pass (compaction) on the I/O
+    /// lane. Nonblocking and lossy by design: a refused submit
     /// just waits for the next delete/batch to re-offer it.
     fn schedule_maintenance(&self) {
         let store = Arc::clone(&self.store);
@@ -376,8 +376,8 @@ fn finish_put_batch(store: &Arc<dyn ChunkStore>, app: &BenefApp, token: u64, ops
     if let Some(h) = app.handle.get().and_then(WeakHandle::upgrade) {
         h.notify_timer();
     }
-    // Already on a lane thread: run any compaction the batch's
-    // rotations queued (cheap no-op when nothing is pending).
+    // Already on a lane thread: run any compaction now due, such as a
+    // segment this batch sealed already dead (cheap when none is).
     let _ = store.maintain();
 }
 
@@ -695,9 +695,6 @@ impl BenefactorServer {
             handle: handle.downgrade(),
             token: mgr_token,
         };
-        // Compaction fsyncs defer to `maintain` on the lane instead of
-        // running on whichever pump executed the delete.
-        net.store.set_deferred_maintenance(true);
         let effects = Arc::new(BenefEffects {
             store: net.store,
             mgr: OrderedMutex::new(ranks::BENEF_MGR, "benef.mgr", mgr_link),

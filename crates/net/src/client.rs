@@ -703,7 +703,7 @@ impl Grid {
             return Err(GridError::Protocol("bad GetFile reply".into()));
         };
         let sid = self.inner.next_sid.fetch_add(1, Ordering::Relaxed);
-        let session = ReadSession::new(sid, view, 4, true);
+        let session = ReadSession::new(sid, view, 4);
         let shared = SessionShared::new(session, PathBuf::new());
         let handle = ReadHandle {
             grid: self.clone(),

@@ -158,7 +158,7 @@ impl IoLane {
 
     /// Nonblocking [`IoLane::submit`]: refuses (returning `false`)
     /// instead of waiting when the queue is at capacity or the lane has
-    /// shut down. For opportunistic work — deferred compaction, sweeps —
+    /// shut down. For opportunistic work — compaction, sweeps —
     /// that a later trigger simply re-offers.
     #[must_use]
     pub fn try_submit(&self, job: impl FnOnce() + Send + 'static) -> bool {

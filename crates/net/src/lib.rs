@@ -16,9 +16,10 @@
 //! - [`Grid`] — the client proxy: `create()`/`open()` handles implementing
 //!   `std::io::{Write, Read}` plus metadata operations.
 //!
-//! Both durable structures — chunk segments and the metadata WAL — are
-//! built on one [`log`] engine core: CRC-framed self-delimiting records,
-//! a group-commit flusher, torn-tail recovery, and exclusive directory
+//! Both durable structures — chunk segments and the metadata WAL — run
+//! on one segmented-log [`log`] engine: CRC-framed self-delimiting
+//! records, numbered segments with torn-tail recovery, append with
+//! rollback, rotation, a group-commit flusher, and exclusive directory
 //! locks.
 //!
 //! All three drive their state machines through the unified

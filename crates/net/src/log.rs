@@ -1,37 +1,49 @@
-//! The shared append-only log engine core.
+//! The segmented-log engine shared by both durable stores.
 //!
 //! Two durable structures in this crate are logs: the benefactor's
 //! chunk-payload segment store ([`store::SegmentStore`](crate::store::SegmentStore))
 //! and the manager's metadata write-ahead log ([`MetaLog`](crate::MetaLog)).
-//! Both need the same mechanics, factored here once:
+//! Every mechanic they share lives here, once:
 //!
 //! - **record framing** — self-delimiting records
 //!   `len ‖ kind ‖ key(32B) ‖ crc32c ‖ payload` whose CRC covers
 //!   everything, so a scan can tell a valid record from a torn tail;
+//! - **numbered segments** — `{prefix}{n:016x}.log` files in one
+//!   directory ([`SegmentedLog`]): discovery, and at open a scan that
+//!   hands every valid record to the owner and then truncates a crash's
+//!   torn tail — or, when the owner rejects a record, fails with nothing
+//!   on disk changed;
+//! - **append** — one `writev` per record, rolled back to the record
+//!   boundary on failure, or else the log is poisoned;
+//! - **rotation** — a full active segment is sealed and its `sync_data`
+//!   handed to the flusher, so an appending pump never eats an fsync;
 //! - **group commit** — writers append then wait on a durable watermark;
-//!   a background flusher thread runs one `sync_data` per round covering
-//!   every record appended before its snapshot ([`GroupCommit`]);
-//! - **torn-tail recovery** — [`scan_records`] walks a segment record by
-//!   record and reports the last valid boundary, so the opener can
-//!   truncate a crash's half-written suffix;
+//!   a background flusher thread runs one round of `sync_data` calls
+//!   covering every record appended before its snapshot ([`GroupCommit`],
+//!   started and joined by [`LogHandle`]), and
+//!   [`SegmentedLog::sync_all`] is the inline durability point;
 //! - **directory ownership** — an exclusive pid [`DirLock`] per log
 //!   directory, with stale-lock reclaim.
 //!
-//! What the two users layer on top differs: the segment store keeps a
+//! A [`SegmentedLog`] is plain state: each owner keeps it inside its own
+//! lock, next to what it layers on top, so an append takes no extra lock.
+//! What the two owners layer on top differs: the segment store keeps a
 //! `ChunkId → location` index and compacts by liveness; the metadata log
 //! keys nothing (the key field carries a record sequence number) and
 //! compacts by snapshotting. Neither policy lives here.
 
+use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use stdchk_util::crc32::Crc32;
-use stdchk_util::ordlock::{Condvar, OrderedMutex};
+use stdchk_util::ordlock::{Condvar, OrderedGuard, OrderedMutex};
 
 use crate::ranks;
 
@@ -252,6 +264,301 @@ pub fn acquire_dir_lock(dir: &Path) -> io::Result<DirLock> {
     ))
 }
 
+// ---------------------------------------------------------- segmented log
+
+/// File-name suffix of every segment.
+pub const SEGMENT_SUFFIX: &str = ".log";
+
+/// `dir/{prefix}{n:016x}{suffix}`: the name of numbered file `n`.
+pub fn numbered_path(dir: &Path, prefix: &str, n: u64, suffix: &str) -> PathBuf {
+    dir.join(format!("{prefix}{n:016x}{suffix}"))
+}
+
+/// Numbers of the files in `dir` named `{prefix}{hex}{suffix}`,
+/// ascending.
+///
+/// # Errors
+///
+/// I/O errors listing the directory.
+pub fn numbered(dir: &Path, prefix: &str, suffix: &str) -> io::Result<Vec<u64>> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if let Some(n) = name
+            .strip_prefix(prefix)
+            .and_then(|s| s.strip_suffix(suffix))
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        {
+            out.push(n);
+        }
+    }
+    out.sort_unstable();
+    Ok(out)
+}
+
+/// Deletes every `{prefix}{hex}{suffix}` file in `dir` numbered below
+/// `n`.
+///
+/// # Errors
+///
+/// I/O errors listing the directory or unlinking a file.
+pub fn remove_numbered_below(dir: &Path, prefix: &str, suffix: &str, n: u64) -> io::Result<()> {
+    for k in numbered(dir, prefix, suffix)? {
+        if k < n {
+            fs::remove_file(numbered_path(dir, prefix, k, suffix))?;
+        }
+    }
+    Ok(())
+}
+
+fn open_segment(path: &Path, create_new: bool) -> io::Result<File> {
+    OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(!create_new)
+        .create_new(create_new)
+        .open(path)
+}
+
+/// One segment file and the bytes of whole records in it.
+#[derive(Debug)]
+struct Segment {
+    file: Arc<File>,
+    len: u64,
+}
+
+/// The numbered segment files of one append-only log.
+///
+/// Plain state: the owner keeps it inside its own lock, next to what it
+/// layers on top, and passes the [`GroupCommit`] its writers wait on to
+/// the calls that publish or poison. Holds the directory's [`DirLock`]
+/// for its lifetime.
+#[derive(Debug)]
+pub struct SegmentedLog {
+    dir: PathBuf,
+    prefix: &'static str,
+    /// Rotate the active segment once it holds this many bytes.
+    segment_bytes: u64,
+    /// Sealed segments by number; never appended to again.
+    sealed: BTreeMap<u64, Segment>,
+    /// Number of the active segment, above every sealed one.
+    active: u64,
+    active_seg: Segment,
+    /// Monotonic count of bytes appended across all segments (recovered
+    /// bytes included); group commit waits on this watermark.
+    appended: u64,
+    /// Files sealed by rotation whose `sync_data` is still owed. The
+    /// flusher (or [`SegmentedLog::sync_all`]) syncs them before the
+    /// active file, so syncing up to `appended` covers every sealed byte.
+    pending_seals: Vec<Arc<File>>,
+    _dir_lock: DirLock,
+}
+
+impl SegmentedLog {
+    /// Opens the `{prefix}…` segments of `dir`, whose `lock` the caller
+    /// already holds, and replays them oldest first: `f(segment, offset,
+    /// record)` runs for every valid record with `kind <= max_kind`. The
+    /// first bytes of a segment that do not frame one are a crash's torn
+    /// tail.
+    ///
+    /// Only once every record is replayed does the open change the disk:
+    /// it truncates each torn tail back to its last record boundary,
+    /// deletes segments numbered below `first` (the owner says they are
+    /// covered elsewhere; a crash can leave them behind), and creates
+    /// segment `first` when no segment remains. The newest segment is the
+    /// active one.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors, and any error `f` returns — with nothing truncated or
+    /// deleted.
+    pub fn open(
+        dir: &Path,
+        lock: DirLock,
+        prefix: &'static str,
+        first: u64,
+        segment_bytes: u64,
+        max_kind: u8,
+        mut f: impl FnMut(u64, u64, Record) -> io::Result<()>,
+    ) -> io::Result<SegmentedLog> {
+        let mut found = Vec::new();
+        for n in numbered(dir, prefix, SEGMENT_SUFFIX)? {
+            if n < first {
+                continue;
+            }
+            let file = open_segment(&numbered_path(dir, prefix, n, SEGMENT_SUFFIX), false)?;
+            let file_len = file.metadata()?.len();
+            let len = scan_records(&file, file_len, max_kind, |off, rec| f(n, off, rec))?;
+            found.push((n, file, file_len, len));
+        }
+        let mut sealed = BTreeMap::new();
+        let mut appended = 0;
+        for (n, file, file_len, len) in found {
+            if len < file_len {
+                file.set_len(len)?;
+            }
+            appended += len;
+            let file = Arc::new(file);
+            sealed.insert(n, Segment { file, len });
+        }
+        remove_numbered_below(dir, prefix, SEGMENT_SUFFIX, first)?;
+        let (active, active_seg) = match sealed.pop_last() {
+            Some(last) => last,
+            None => {
+                let path = numbered_path(dir, prefix, first, SEGMENT_SUFFIX);
+                let file = Arc::new(open_segment(&path, false)?);
+                (first, Segment { file, len: 0 })
+            }
+        };
+        Ok(SegmentedLog {
+            dir: dir.to_path_buf(),
+            prefix,
+            segment_bytes,
+            sealed,
+            active,
+            active_seg,
+            appended,
+            pending_seals: Vec::new(),
+            _dir_lock: lock,
+        })
+    }
+
+    /// Number of the active (append) segment.
+    pub fn active(&self) -> u64 {
+        self.active
+    }
+
+    /// Segment files in the log, sealed and active.
+    pub fn segment_count(&self) -> usize {
+        self.sealed.len() + 1
+    }
+
+    /// `(number, bytes)` of every sealed segment, oldest first.
+    pub fn sealed(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.sealed.iter().map(|(&n, s)| (n, s.len))
+    }
+
+    /// The file of segment `n`, if the log still holds it.
+    pub fn file(&self, n: u64) -> Option<&Arc<File>> {
+        if n == self.active {
+            return Some(&self.active_seg.file);
+        }
+        self.sealed.get(&n).map(|s| &s.file)
+    }
+
+    /// Appends `header ‖ payload` to the active segment, rotating first
+    /// when it is full, and returns `(segment, offset, appended
+    /// watermark)`; the watermark is published to `gc` at once so
+    /// writeback overlaps the rest of a batch.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors, or a poisoned `gc`. A failed write is rolled back to
+    /// the record boundary; when even that fails, `gc` is poisoned,
+    /// because the file no longer ends where the owner's offsets say.
+    pub fn append(
+        &mut self,
+        gc: &GroupCommit,
+        header: &[u8],
+        payload: &[u8],
+    ) -> io::Result<(u64, u64, u64)> {
+        if self.active_seg.len >= self.segment_bytes {
+            self.rotate()?;
+        }
+        if gc.is_poisoned() {
+            return Err(io::Error::other("log poisoned by an earlier I/O failure"));
+        }
+        let off = self.active_seg.len;
+        let file = &self.active_seg.file;
+        if let Err(e) = write_all_two(file, header, payload) {
+            let rolled_back = file.set_len(off).is_ok()
+                && file.metadata().map(|m| m.len() == off).unwrap_or(false);
+            if !rolled_back {
+                gc.poison();
+            }
+            return Err(e);
+        }
+        let added = (header.len() + payload.len()) as u64;
+        self.active_seg.len += added;
+        self.appended += added;
+        gc.note_appended(self.appended);
+        Ok((self.active, off, self.appended))
+    }
+
+    /// Seals the active segment, starts the next one and returns its
+    /// number. The sealed file's `sync_data` is owed to the flusher (the
+    /// appending thread may be an I/O-lane pump, which must never eat an
+    /// fsync); group commit still covers the sealed bytes, because every
+    /// flush syncs the owed seals before the active file.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors creating the next segment; the log is unchanged.
+    pub fn rotate(&mut self) -> io::Result<u64> {
+        let next = self.active + 1;
+        let path = numbered_path(&self.dir, self.prefix, next, SEGMENT_SUFFIX);
+        let file = Arc::new(open_segment(&path, true)?);
+        let sealed = std::mem::replace(&mut self.active_seg, Segment { file, len: 0 });
+        self.pending_seals.push(Arc::clone(&sealed.file));
+        self.sealed.insert(self.active, sealed);
+        self.active = next;
+        Ok(next)
+    }
+
+    /// The inline durability point: syncs every owed seal, then the
+    /// active segment, and marks everything appended so far durable.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors syncing. A failed seal sync poisons `gc`: the seal list
+    /// was drained, and a sealed file of unknown durability can never be
+    /// made safe again.
+    pub fn sync_all(&mut self, gc: &GroupCommit) -> io::Result<()> {
+        for sealed in std::mem::take(&mut self.pending_seals) {
+            gc.count_sync();
+            if let Err(e) = sealed.sync_data() {
+                gc.poison();
+                return Err(e);
+            }
+        }
+        gc.count_sync();
+        self.active_seg.file.sync_data()?;
+        gc.mark_durable(self.appended);
+        Ok(())
+    }
+
+    /// Drops sealed segment `n` from the log and unlinks its file. A
+    /// reader that already holds the file keeps reading it.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors unlinking the file.
+    pub fn remove(&mut self, n: u64) -> io::Result<()> {
+        if self.sealed.remove(&n).is_some() {
+            fs::remove_file(numbered_path(&self.dir, self.prefix, n, SEGMENT_SUFFIX))?;
+        }
+        Ok(())
+    }
+
+    /// Drops every sealed segment numbered below `n` from the log without
+    /// unlinking it, so the owner can unlink the files after releasing
+    /// its lock ([`remove_numbered_below`]).
+    pub fn forget_below(&mut self, n: u64) {
+        self.sealed = self.sealed.split_off(&n);
+    }
+
+    /// One flusher round's work: the appended count, the owed seals and
+    /// the active file.
+    fn flush_batch(&mut self) -> (u64, Vec<Arc<File>>, Arc<File>) {
+        (
+            self.appended,
+            std::mem::take(&mut self.pending_seals),
+            Arc::clone(&self.active_seg.file),
+        )
+    }
+}
+
 // ------------------------------------------------------- fault injection
 
 /// Test/bench-only fault injection for `sync_data` calls.
@@ -313,9 +620,9 @@ struct CommitState {
 ///
 /// Writers append (under their own lock), publish the new appended-byte
 /// count with [`GroupCommit::note_appended`], and block in
-/// [`GroupCommit::wait_durable`]. The flusher loop
-/// ([`GroupCommit::flusher_loop`]) snapshots the appended watermark, runs
-/// one `sync_data` on the active file, and advances the durable
+/// [`GroupCommit::wait_durable`]. The flusher thread ([`LogHandle`])
+/// snapshots the appended watermark, runs `sync_data` on the owed seals
+/// and the active file, and advances the durable
 /// watermark for every record that landed before the snapshot — the same
 /// trick databases use for their WAL, with the flusher shape
 /// additionally overlapping writeback with ongoing appends/checksums.
@@ -380,8 +687,9 @@ impl GroupCommit {
         self.syncs.load(Ordering::Relaxed)
     }
 
-    /// Counts one `sync_data` issued outside the flusher (rotation,
-    /// compaction) toward the observability counter.
+    /// Counts one `sync_data` issued outside the flusher (the inline
+    /// durability point, snapshot files) toward the observability
+    /// counter.
     pub fn count_sync(&self) {
         self.syncs.fetch_add(1, Ordering::Relaxed);
     }
@@ -454,13 +762,11 @@ impl GroupCommit {
     /// the durable watermark, call `snapshot()` for the current appended
     /// count, any sealed-but-unsynced files, and the active file;
     /// `sync_data` the seals then the active file; and publish the new
-    /// durable point. `snapshot` must be taken under the owner's state
-    /// lock, and rotation must hand every file it seals over through the
-    /// seal list (instead of syncing inline on the appending thread — an
-    /// I/O-lane pump must never eat an fsync), so that syncing seals +
-    /// active covers everything up to the count. Runs until
-    /// [`GroupCommit::begin_shutdown`].
-    pub fn flusher_loop(&self, snapshot: impl Fn() -> (u64, Vec<Arc<File>>, Arc<File>)) {
+    /// durable point. [`LogHandle`] takes the snapshot under the owner's
+    /// lock, and rotation hands every file it seals over through the seal
+    /// list, so syncing seals + active covers everything up to the count.
+    /// Runs until [`GroupCommit::begin_shutdown`].
+    fn flusher_loop(&self, snapshot: impl Fn() -> (u64, Vec<Arc<File>>, Arc<File>)) {
         loop {
             {
                 let mut c = self.commit.lock();
@@ -491,6 +797,77 @@ impl GroupCommit {
                 }
             }
             self.done_cv.notify_all();
+        }
+    }
+}
+
+// ------------------------------------------------------------- log handle
+
+/// Owner state that embeds a [`SegmentedLog`].
+pub trait LogState: Send + 'static {
+    /// The embedded log.
+    fn log(&mut self) -> &mut SegmentedLog;
+}
+
+struct LogCore<S> {
+    state: OrderedMutex<S>,
+    gc: GroupCommit,
+}
+
+/// An open log: the owner's state `S` behind one lock, the group-commit
+/// watermark its writers wait on without that lock, and the flusher
+/// thread. Dropping the handle shuts the watermark down (waiters still
+/// short of durable fail instead of hanging) and joins the flusher.
+pub struct LogHandle<S: LogState> {
+    core: Arc<LogCore<S>>,
+    flusher: Option<JoinHandle<()>>,
+}
+
+impl<S: LogState> LogHandle<S> {
+    /// Puts `state` behind a lock of `rank` and starts its flusher
+    /// thread, with everything recovery found counted durable.
+    ///
+    /// # Errors
+    ///
+    /// The flusher thread could not be spawned.
+    pub fn start(
+        mut state: S,
+        rank: u16,
+        lock_name: &'static str,
+        thread_name: &str,
+    ) -> io::Result<LogHandle<S>> {
+        let gc = GroupCommit::new(state.log().appended);
+        let core = Arc::new(LogCore {
+            state: OrderedMutex::new(rank, lock_name, state),
+            gc,
+        });
+        let c = Arc::clone(&core);
+        let flusher = std::thread::Builder::new()
+            .name(thread_name.into())
+            .spawn(move || c.gc.flusher_loop(|| c.state.lock().log().flush_batch()))
+            .map_err(io::Error::other)?;
+        Ok(LogHandle {
+            core,
+            flusher: Some(flusher),
+        })
+    }
+
+    /// Locks the owner's state.
+    pub fn lock(&self) -> OrderedGuard<'_, S> {
+        self.core.state.lock()
+    }
+
+    /// The group-commit watermark.
+    pub fn gc(&self) -> &GroupCommit {
+        &self.core.gc
+    }
+}
+
+impl<S: LogState> Drop for LogHandle<S> {
+    fn drop(&mut self) {
+        self.core.gc.begin_shutdown();
+        if let Some(h) = self.flusher.take() {
+            let _ = h.join();
         }
     }
 }

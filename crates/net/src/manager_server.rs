@@ -565,14 +565,10 @@ impl ManagerServer {
                 (clock, Some(metalog), mgr)
             }
         };
-        // The disk I/O lane: durable waits (WAL group commits, snapshot
-        // fsync/prune) ride it instead of the pump that drained the
-        // batch. Only a durable manager has durable waits.
-        let wal = metalog.clone().map(|log| {
-            let lane = Arc::new(IoLane::new());
-            log.set_io_lane(Arc::clone(&lane));
-            (log, lane)
-        });
+        // The disk I/O lane: WAL group-commit waits ride it instead of
+        // the pump that drained the batch. Only a durable manager has
+        // durable waits.
+        let wal = metalog.clone().map(|log| (log, Arc::new(IoLane::new())));
         let effects = Arc::new(MgrEffects {
             conns: OrderedMutex::new(ranks::MGR_CONNS, "mgr.conns", HashMap::new()),
             next_client: AtomicU64::new(CLIENT_NET_BASE),

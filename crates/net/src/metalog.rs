@@ -1,5 +1,5 @@
 //! The manager's durable metadata store: a write-ahead log plus periodic
-//! snapshots, built on the shared [`log`](crate::log) engine core.
+//! snapshots, built on the shared [`log`](crate::log) segmented-log engine.
 //!
 //! # Layout
 //!
@@ -10,6 +10,10 @@
 //!   wal-0000000000000005.log      ← sealed
 //!   wal-0000000000000006.log      ← active (append-only)
 //! ```
+//!
+//! The WAL segments run on the shared [`log`](crate::log) engine (the
+//! chunk segment store uses the same one); this module adds the sequence
+//! and order checks and the snapshots.
 //!
 //! Every WAL record is one framed [`MetaRecord`] (`crate::log` framing:
 //! `len ‖ kind ‖ key ‖ crc32c ‖ payload`); the 32-byte key field carries
@@ -43,20 +47,19 @@
 //!
 //! [`MetaLog::install_with`] captures the snapshot *under the append
 //! lock* — so it covers every record in the segments about to be pruned —
-//! then writes it through a temp file and a rename, rotates the WAL to
-//! the segment number the snapshot covers up to, and deletes the covered
-//! segments and older snapshots. A crash
-//! anywhere in that sequence leaves either the old snapshot + full log
+//! and rotates the WAL to the segment number the snapshot covers up to;
+//! then, on the calling thread, it writes the snapshot through a temp
+//! file and a rename and deletes the covered segments and older
+//! snapshots. A crash anywhere in that sequence leaves either the old
+//! snapshot + full log
 //! or the new snapshot + an over-long log — both replay correctly
 //! (snapshots are *fuzzy*: replaying a record whose effect the snapshot
 //! already contains is detected by version id and skipped, see
 //! `Manager::replay`).
 
-use std::collections::BTreeMap;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use stdchk_util::ordlock::OrderedMutex;
 
@@ -65,12 +68,16 @@ use crate::ranks;
 use stdchk_proto::codec::Wire;
 use stdchk_proto::meta::{MetaRecord, MetaSnapshot};
 
-use crate::iolane::IoLane;
 use crate::log::{
-    acquire_dir_lock, encode_header, record_size, scan_records, write_all_two, DirLock,
-    GroupCommit, SyncDelay,
+    acquire_dir_lock, encode_header, numbered, numbered_path, record_size, remove_numbered_below,
+    write_all_two, LogHandle, LogState, SegmentedLog, SyncDelay, SEGMENT_SUFFIX,
 };
 
+/// WAL segment file-name prefix.
+const WAL: &str = "wal-";
+/// Snapshot file-name prefix and suffix.
+const SNAP: &str = "snap-";
+const SNAP_SUFFIX: &str = ".snap";
 /// Record kind byte: one framed [`MetaRecord`].
 const KIND_META: u8 = 0;
 /// Record kind byte: one framed [`MetaSnapshot`] (snapshot files only).
@@ -132,14 +139,7 @@ impl MetaRecovery {
 /// Mutable log state behind the writer lock.
 #[derive(Debug)]
 struct Inner {
-    /// Number of the active (append) WAL segment.
-    active: u64,
-    /// The active segment's file.
-    file: Arc<File>,
-    /// Bytes appended to the active segment so far.
-    active_len: u64,
-    /// Monotonic appended-byte watermark across all segments.
-    appended: u64,
+    wal: SegmentedLog,
     /// Persistent sequence number of the next record (goes in the key).
     next_seq: u64,
     /// Runtime mutation-order stamp expected next (checked on
@@ -147,32 +147,22 @@ struct Inner {
     expected_order: u64,
     /// Records appended since the last snapshot install (or open).
     records_since_snapshot: u64,
-    /// Files sealed by rotation whose `sync_data` is still owed; the
-    /// flusher syncs them before the active file so the durable
-    /// watermark never over-promises (see the segment store's
-    /// equivalent). Rotation must not sync inline: the appending thread
-    /// may be an I/O-lane pump.
-    pending_seals: Vec<Arc<File>>,
 }
 
-struct Core {
-    inner: OrderedMutex<Inner>,
-    gc: GroupCommit,
+impl LogState for Inner {
+    fn log(&mut self) -> &mut SegmentedLog {
+        &mut self.wal
+    }
 }
 
 /// The manager's write-ahead log + snapshot store (see the module docs).
 pub struct MetaLog {
     dir: PathBuf,
     cfg: MetaLogConfig,
-    core: Arc<Core>,
+    log: LogHandle<Inner>,
     /// Serializes [`MetaLog::install_with`] calls (their second phase
     /// runs outside the append lock).
     install_mx: OrderedMutex<()>,
-    /// When attached ([`MetaLog::set_io_lane`]), snapshot installs run
-    /// their fsync/prune phase on the lane instead of the caller.
-    lane: OrderedMutex<Option<Arc<IoLane>>>,
-    flusher: OrderedMutex<Option<std::thread::JoinHandle<()>>>,
-    _dir_lock: DirLock,
 }
 
 impl std::fmt::Debug for MetaLog {
@@ -184,50 +174,8 @@ impl std::fmt::Debug for MetaLog {
     }
 }
 
-impl Drop for MetaLog {
-    fn drop(&mut self) {
-        self.core.gc.begin_shutdown();
-        if let Some(h) = self.flusher.lock().take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn wal_path(dir: &Path, n: u64) -> PathBuf {
-    dir.join(format!("wal-{n:016x}.log"))
-}
-
 fn snap_path(dir: &Path, n: u64) -> PathBuf {
-    dir.join(format!("snap-{n:016x}.snap"))
-}
-
-/// Numbers of files in `dir` matching `prefix` + hex + `suffix`.
-fn numbered(dir: &Path, prefix: &str, suffix: &str) -> io::Result<Vec<u64>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(hex) = name
-            .strip_prefix(prefix)
-            .and_then(|s| s.strip_suffix(suffix))
-        {
-            if let Ok(n) = u64::from_str_radix(hex, 16) {
-                out.push(n);
-            }
-        }
-    }
-    out.sort_unstable();
-    Ok(out)
-}
-
-fn open_append(path: &Path, create_new: bool) -> io::Result<File> {
-    OpenOptions::new()
-        .read(true)
-        .append(true)
-        .create(!create_new)
-        .create_new(create_new)
-        .open(path)
+    numbered_path(dir, SNAP, n, SNAP_SUFFIX)
 }
 
 impl MetaLog {
@@ -257,7 +205,7 @@ impl MetaLog {
     ) -> io::Result<(MetaLog, MetaRecovery)> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let dir_lock = acquire_dir_lock(&dir)?;
+        let lock = acquire_dir_lock(&dir)?;
         // A crash during install_with may leave a temp file behind.
         fs::remove_file(dir.join("snap-tmp")).ok();
 
@@ -273,113 +221,60 @@ impl MetaLog {
         let mut snapshot = None;
         let mut base = 0u64;
         let mut next_seq = 0u64;
-        if let Some(&n) = numbered(&dir, "snap-", ".snap")?.last() {
+        if let Some(&n) = numbered(&dir, SNAP, SNAP_SUFFIX)?.last() {
             let (s, snap_seq) = read_snapshot(&snap_path(&dir, n))?;
             snapshot = Some(s);
             base = n;
             next_seq = snap_seq;
         }
 
-        // Replay WAL segments the snapshot does not cover; delete the
-        // ones it does (a crash between snapshot install and segment
-        // pruning leaves them behind).
+        // Replay the WAL segments the snapshot does not cover; the open
+        // deletes the ones it does (a crash between snapshot install and
+        // segment pruning leaves them behind).
         let mut records = Vec::new();
-        let mut segs: BTreeMap<u64, Arc<File>> = BTreeMap::new();
-        let mut appended = 0u64;
-        for n in numbered(&dir, "wal-", ".log")? {
-            if n < base {
-                fs::remove_file(wal_path(&dir, n))?;
-                continue;
-            }
-            let file = open_append(&wal_path(&dir, n), false)?;
-            let file_len = file.metadata()?.len();
-            let mut decode_err = None;
-            let valid = scan_records(&file, file_len, KIND_META, |_, rec| {
+        let wal = SegmentedLog::open(
+            &dir,
+            lock,
+            WAL,
+            base,
+            cfg.segment_bytes,
+            KIND_META,
+            |_, _, rec| {
                 let seq = crate::log::le_u64(&rec.key, 0);
                 if seq != next_seq {
-                    decode_err = Some(io::Error::new(
+                    return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!("metadata log sequence gap: expected {next_seq}, found {seq}"),
                     ));
-                    return Err(io::ErrorKind::InvalidData.into());
                 }
                 next_seq = seq + 1;
-                match MetaRecord::from_wire_bytes(&rec.payload) {
-                    Ok(r) => {
-                        records.push(r);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        decode_err = Some(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("undecodable metadata record: {e}"),
-                        ));
-                        Err(io::ErrorKind::InvalidData.into())
-                    }
-                }
-            });
-            if let Some(e) = decode_err {
-                return Err(e);
-            }
-            let valid = valid?;
-            if valid < file_len {
-                // Torn tail: drop the unparseable suffix so the next
-                // append starts on a record boundary.
-                file.set_len(valid)?;
-            }
-            appended += valid;
-            segs.insert(n, Arc::new(file));
-        }
-
-        let (active, file, active_len) = match segs.last_key_value() {
-            Some((&n, f)) => (n, Arc::clone(f), f.metadata()?.len()),
-            None => {
-                let f = open_append(&wal_path(&dir, base), false)?;
-                (base, Arc::new(f), 0)
-            }
+                let record = MetaRecord::from_wire_bytes(&rec.payload).map_err(|e| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("undecodable metadata record: {e}"),
+                    )
+                })?;
+                records.push(record);
+                Ok(())
+            },
+        )?;
+        let inner = Inner {
+            wal,
+            next_seq,
+            expected_order: 0,
+            records_since_snapshot: records.len() as u64,
         };
-
-        let core = Arc::new(Core {
-            inner: OrderedMutex::new(
-                ranks::METALOG_INNER,
-                "metalog.inner",
-                Inner {
-                    active,
-                    file,
-                    active_len,
-                    appended,
-                    next_seq,
-                    expected_order: 0,
-                    records_since_snapshot: records.len() as u64,
-                    pending_seals: Vec::new(),
-                },
-            ),
-            gc: GroupCommit::new(appended),
-        });
-        let core2 = Arc::clone(&core);
-        let flusher = std::thread::Builder::new()
-            .name("stdchk-meta-flush".into())
-            .spawn(move || {
-                core2.gc.flusher_loop(|| {
-                    let mut inner = core2.inner.lock();
-                    let seals = std::mem::take(&mut inner.pending_seals);
-                    (inner.appended, seals, Arc::clone(&inner.file))
-                })
-            })
-            .map_err(io::Error::other)?;
         Ok((
             MetaLog {
                 dir,
                 cfg,
-                core,
+                log: LogHandle::start(
+                    inner,
+                    ranks::METALOG_INNER,
+                    "metalog.inner",
+                    "stdchk-meta-flush",
+                )?,
                 install_mx: OrderedMutex::new(ranks::METALOG_INSTALL, "metalog.install", ()),
-                lane: OrderedMutex::new(ranks::METALOG_LANE, "metalog.lane", None),
-                flusher: OrderedMutex::new(
-                    ranks::METALOG_FLUSHER,
-                    "metalog.flusher",
-                    Some(flusher),
-                ),
-                _dir_lock: dir_lock,
             },
             MetaRecovery { snapshot, records },
         ))
@@ -393,16 +288,16 @@ impl MetaLog {
         let mut key = [0u8; 32];
         key[..8].copy_from_slice(&inner.next_seq.to_le_bytes());
         let header = encode_header(KIND_META, &key, &payload);
-        let res = self.append_raw(inner, &header, &payload);
+        let res = inner.wal.append(self.log.gc(), &header, &payload);
         inner.expected_order = order + 1;
         inner.next_seq += 1;
         inner.records_since_snapshot += 1;
         match res {
-            Ok(t) => Ok(t),
+            Ok((_, _, target)) => Ok(target),
             Err(e) => {
                 // A skipped record would leave a sequence gap no later
                 // append can repair; the log is done.
-                self.core.gc.poison();
+                self.log.gc().poison();
                 Err(e)
             }
         }
@@ -424,10 +319,10 @@ impl MetaLog {
     /// bug; the log is poisoned, as the gap is unrepairable).
     pub fn submit_append_batch(&self, batch: &[(u64, MetaRecord)]) -> io::Result<u64> {
         let mut target = 0;
-        let mut inner = self.core.inner.lock();
+        let mut inner = self.log.lock();
         for (order, record) in batch {
             if *order != inner.expected_order {
-                self.core.gc.poison();
+                self.log.gc().poison();
                 return Err(io::Error::other(format!(
                     "metadata log submitted out of order: expected {}, got {order}",
                     inner.expected_order
@@ -447,7 +342,7 @@ impl MetaLog {
     /// guarded by `target` may be acknowledged.
     pub fn wait_appended(&self, target: u64) -> io::Result<()> {
         if target > 0 {
-            self.core.gc.wait_durable(target)?;
+            self.log.gc().wait_durable(target)?;
         }
         Ok(())
     }
@@ -455,86 +350,39 @@ impl MetaLog {
     /// True once the log hit an unrepairable failure (every further
     /// mutation refuses).
     pub fn is_poisoned(&self) -> bool {
-        self.core.gc.is_poisoned()
+        self.log.gc().is_poisoned()
     }
 
     /// Test/bench fault-injection handle for this log's flusher (see
     /// [`SyncDelay`]).
     pub fn sync_faults(&self) -> SyncDelay {
-        self.core.gc.sync_faults().clone()
-    }
-
-    /// Appends `header ‖ payload` to the active segment (rotating first
-    /// if full) and returns the appended watermark. Caller holds the
-    /// inner lock.
-    fn append_raw(&self, inner: &mut Inner, header: &[u8], payload: &[u8]) -> io::Result<u64> {
-        if inner.active_len >= self.cfg.segment_bytes {
-            self.rotate_to(inner, inner.active + 1)?;
-        }
-        if self.core.gc.is_poisoned() {
-            return Err(io::Error::other(
-                "metadata log poisoned by earlier I/O failure",
-            ));
-        }
-        if let Err(e) = write_all_two(&inner.file, header, payload) {
-            // Roll back a partial record; if even that fails, poison —
-            // continuing would corrupt acked records.
-            let off = inner.active_len;
-            let rolled_back = inner.file.set_len(off).is_ok()
-                && inner
-                    .file
-                    .metadata()
-                    .map(|m| m.len() == off)
-                    .unwrap_or(false);
-            if !rolled_back {
-                self.core.gc.poison();
-            }
-            return Err(e);
-        }
-        let added = (header.len() + payload.len()) as u64;
-        inner.active_len += added;
-        inner.appended += added;
-        self.core.gc.note_appended(inner.appended);
-        Ok(inner.appended)
-    }
-
-    /// Seals the active segment and starts `next`. The seal's
-    /// `sync_data` is deferred to the flusher via `pending_seals` (group
-    /// commit syncs seals before the active file, so the "durable covers
-    /// everything appended" invariant holds without an inline fsync on
-    /// the appending thread).
-    fn rotate_to(&self, inner: &mut Inner, next: u64) -> io::Result<()> {
-        inner.pending_seals.push(Arc::clone(&inner.file));
-        let file = open_append(&wal_path(&self.dir, next), true)?;
-        inner.active = next;
-        inner.file = Arc::new(file);
-        inner.active_len = 0;
-        Ok(())
+        self.log.gc().sync_faults().clone()
     }
 
     /// True once [`MetaLogConfig::snapshot_every`] records accumulated
     /// since the last snapshot; the driver should take a manager
     /// snapshot and [`MetaLog::install_with`] one.
     pub fn wants_snapshot(&self) -> bool {
-        self.core.inner.lock().records_since_snapshot >= self.cfg.snapshot_every
+        self.log.lock().records_since_snapshot >= self.cfg.snapshot_every
     }
 
     /// Records appended since the last installed snapshot (replay-tail
     /// length; observability and tests).
     pub fn records_since_snapshot(&self) -> u64 {
-        self.core.inner.lock().records_since_snapshot
+        self.log.lock().records_since_snapshot
     }
 
     /// WAL segment files currently on disk (tests observe rotation and
     /// snapshot pruning with this).
     pub fn wal_segment_count(&self) -> io::Result<usize> {
-        Ok(numbered(&self.dir, "wal-", ".log")?.len())
+        Ok(numbered(&self.dir, WAL, SEGMENT_SUFFIX)?.len())
     }
 
     /// Installs a new recovery base: calls `snapshot()` **while holding
-    /// the append lock**, then writes the result (temp file + rename +
-    /// directory sync) and prunes the covered segments and older
-    /// snapshots with the lock released. Crash-safe at every step —
+    /// the append lock** and seals the WAL segment it covers up to, then
+    /// — on the calling thread, with the lock released — writes the
+    /// result (temp file + rename + directory sync) and prunes the
+    /// covered segments and older snapshots. Crash-safe at every step —
     /// recovery falls back to the old snapshot + full log until the
     /// rename lands.
     ///
@@ -568,95 +416,48 @@ impl MetaLog {
         // Phase 1, under the append lock: capture the state and seal the
         // segment boundary it covers.
         let (snap, base, seq) = {
-            let mut inner = self.core.inner.lock();
+            let mut inner = self.log.lock();
             let snap = snapshot();
-            let base = inner.active + 1;
-            let seq = inner.next_seq;
-            self.rotate_to(&mut inner, base)?;
+            let base = inner.wal.rotate()?;
             inner.records_since_snapshot = 0;
-            (snap, base, seq)
+            (snap, base, inner.next_seq)
         };
 
         // Phase 2, lock-free: persist the snapshot, then prune what it
         // covers. The sealed segments are frozen, so nothing races the
         // unlinks; a crash anywhere here leaves the old base + full log.
-        // With a lane attached the serialize/fsync/prune runs on a lane
-        // worker — it is exactly the class of blocking disk work the
-        // lane owns — and the installer (a background snapshotter
-        // thread, never a pump) blocks on the result either way.
-        let lane = self.lane.lock().clone();
-        let res = match lane {
-            Some(lane) => {
-                let (tx, rx) = std::sync::mpsc::channel();
-                let dir = self.dir.clone();
-                let core = Arc::clone(&self.core);
-                let submitted = lane.submit(move || {
-                    let _ = tx.send(install_phase2(&dir, &core, &snap, base, seq));
-                });
-                if submitted {
-                    rx.recv()
-                        .unwrap_or_else(|_| Err(io::Error::other("io lane dropped the install")))
-                } else {
-                    // The lane shut down under us; the work itself is
-                    // unrecoverable here because `snap` moved into the
-                    // refused closure. The old recovery base stays valid.
-                    Err(io::Error::other("io lane shut down mid-install"))
-                }
-            }
-            None => install_phase2(&self.dir, &self.core, &snap, base, seq),
-        };
+        let res = self.persist_snapshot(&snap, base, seq);
         if res.is_err() {
             // The tail counter was reset optimistically; re-arm so the
             // driver retries the snapshot instead of waiting for another
             // full threshold of records.
-            self.core.inner.lock().records_since_snapshot = self.cfg.snapshot_every;
+            self.log.lock().records_since_snapshot = self.cfg.snapshot_every;
         }
         res
     }
 
-    /// Attaches the disk I/O lane snapshot installs should run their
-    /// fsync/prune phase on.
-    pub fn set_io_lane(&self, lane: Arc<IoLane>) {
-        *self.lane.lock() = Some(lane);
-    }
-}
-
-/// [`MetaLog::install_with`]'s second phase: write the captured snapshot
-/// through a temp file + rename + directory sync, then prune the WAL
-/// segments and older snapshots it covers. Runs lock-free (on the I/O
-/// lane when one is attached); crash-safe at every step.
-fn install_phase2(
-    dir: &Path,
-    core: &Core,
-    snap: &MetaSnapshot,
-    base: u64,
-    seq: u64,
-) -> io::Result<()> {
-    let payload = snap.to_wire_bytes();
-    let mut key = [0u8; 32];
-    key[..8].copy_from_slice(&seq.to_le_bytes());
-    let header = encode_header(KIND_SNAPSHOT, &key, &payload);
-    let tmp = dir.join("snap-tmp");
-    {
-        let file = File::create(&tmp)?;
-        write_all_two(&file, &header, &payload)?;
-        core.gc.count_sync();
-        file.sync_data()?;
-    }
-    fs::rename(&tmp, snap_path(dir, base))?;
-    // The rename itself must survive a crash.
-    File::open(dir)?.sync_all()?;
-    for n in numbered(dir, "wal-", ".log")? {
-        if n < base {
-            fs::remove_file(wal_path(dir, n))?;
+    /// [`MetaLog::install_with`]'s second phase: write the captured
+    /// snapshot through a temp file + rename + directory sync, then prune
+    /// the WAL segments and older snapshots it covers.
+    fn persist_snapshot(&self, snap: &MetaSnapshot, base: u64, seq: u64) -> io::Result<()> {
+        let payload = snap.to_wire_bytes();
+        let mut key = [0u8; 32];
+        key[..8].copy_from_slice(&seq.to_le_bytes());
+        let header = encode_header(KIND_SNAPSHOT, &key, &payload);
+        let tmp = self.dir.join("snap-tmp");
+        {
+            let file = File::create(&tmp)?;
+            write_all_two(&file, &header, &payload)?;
+            self.log.gc().count_sync();
+            file.sync_data()?;
         }
+        fs::rename(&tmp, snap_path(&self.dir, base))?;
+        // The rename itself must survive a crash.
+        File::open(&self.dir)?.sync_all()?;
+        self.log.lock().wal.forget_below(base);
+        remove_numbered_below(&self.dir, WAL, SEGMENT_SUFFIX, base)?;
+        remove_numbered_below(&self.dir, SNAP, SNAP_SUFFIX, base)
     }
-    for n in numbered(dir, "snap-", ".snap")? {
-        if n < base {
-            fs::remove_file(snap_path(dir, n))?;
-        }
-    }
-    Ok(())
 }
 
 /// Reads and validates a snapshot file, returning it plus the sequence
@@ -690,7 +491,6 @@ fn read_snapshot(path: &Path) -> io::Result<(MetaSnapshot, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
     use stdchk_proto::ids::{FileId, NodeId, VersionId};
     use stdchk_proto::policy::RetentionPolicy;
     use stdchk_util::Time;
@@ -699,6 +499,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("stdchk-meta-{name}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         dir
+    }
+
+    fn wal_path(dir: &Path, n: u64) -> PathBuf {
+        numbered_path(dir, WAL, n, SEGMENT_SUFFIX)
     }
 
     /// Submits one record and waits for it to be durable.
@@ -737,25 +541,38 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated() {
+        // Three records, then a crash that cuts the third at every byte
+        // offset, header and payload alike.
+        let src = tmp("torn-src");
+        let mut ends = Vec::new();
+        {
+            let (mlog, _) = MetaLog::open(&src).unwrap();
+            for i in 0..3 {
+                append(&mlog, i, rec(i));
+                ends.push(fs::metadata(wal_path(&src, 0)).unwrap().len());
+            }
+        }
+        let full = fs::read(wal_path(&src, 0)).unwrap();
         let dir = tmp("torn");
-        {
-            let (mlog, _) = MetaLog::open(&dir).unwrap();
-            append(&mlog, 0, rec(0));
-        }
-        // Garbage at the tail of the active segment.
         let seg = wal_path(&dir, 0);
-        {
-            use std::io::Write;
-            let mut f = OpenOptions::new().append(true).open(&seg).unwrap();
-            f.write_all(&[0xAB; 13]).unwrap();
+        for cut in ends[1] + 1..ends[2] {
+            fs::remove_dir_all(&dir).ok();
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(&seg, &full[..cut as usize]).unwrap();
+            let (mlog, recovered) = MetaLog::open(&dir).unwrap();
+            assert_eq!(recovered.records, vec![rec(0), rec(1)], "cut {cut}");
+            assert_eq!(
+                fs::metadata(&seg).unwrap().len(),
+                ends[1],
+                "torn suffix must be truncated (cut {cut})"
+            );
+            // And appends continue on a clean boundary.
+            append(&mlog, 0, rec(9));
+            drop(mlog);
+            let (_m, recovered) = MetaLog::open(&dir).unwrap();
+            assert_eq!(recovered.records, vec![rec(0), rec(1), rec(9)], "cut {cut}");
         }
-        let (mlog, recovered) = MetaLog::open(&dir).unwrap();
-        assert_eq!(recovered.records, vec![rec(0)]);
-        // And appends continue on a clean boundary.
-        append(&mlog, 0, rec(1));
-        drop(mlog);
-        let (_m, recovered) = MetaLog::open(&dir).unwrap();
-        assert_eq!(recovered.records, vec![rec(0), rec(1)]);
+        std::fs::remove_dir_all(&src).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -797,45 +614,6 @@ mod tests {
             mlog.submit_append_batch(&[(1, rec(1))]).is_err(),
             "poisoned log refuses"
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn snapshot_installs_through_an_attached_io_lane() {
-        let dir = tmp("lane-snap");
-        let lane = std::sync::Arc::new(crate::iolane::IoLane::new());
-        let snap = MetaSnapshot {
-            next_node: 2,
-            ..MetaSnapshot::default()
-        };
-        {
-            let cfg = MetaLogConfig {
-                segment_bytes: 256,
-                ..Default::default()
-            };
-            let (mlog, _) = MetaLog::open_with(&dir, cfg).unwrap();
-            mlog.set_io_lane(std::sync::Arc::clone(&lane));
-            for i in 0..12 {
-                append(&mlog, i, rec(i));
-            }
-            let before = lane.completed();
-            mlog.install_with(|| snap.clone()).unwrap();
-            // The lane counts a job only after it returns, and the job
-            // wakes this installer before returning: poll briefly.
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while lane.completed() <= before {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "phase 2 must ride the lane"
-                );
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            assert_eq!(mlog.wal_segment_count().unwrap(), 1);
-            append(&mlog, 12, rec(99));
-        }
-        let (_m, recovered) = MetaLog::open(&dir).unwrap();
-        assert_eq!(recovered.snapshot, Some(snap));
-        assert_eq!(recovered.records, vec![rec(99)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

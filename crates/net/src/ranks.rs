@@ -23,9 +23,9 @@
 //! | 100s | client grid (routes, benefactor links, address cache, delta signatures, session, stage) | client callbacks/user threads send while holding at most one of these |
 //! | 200s | server apps + effects (identity maps, WAL outbox, link registries, peer table, resolver) | the manager's outbox drains (transmits) while held → must precede link registries and the transport |
 //! | 500s | reactor (listeners, conn registry, per-conn decoder/outbound, dead-conn stats, blocking-lane queue) | sends from any lower band end here |
-//! | 600s | storage (segment-store shared state, metalog, group commit, I/O lane queue) | `compact` marks durability (group commit) while holding the store's shared state |
+//! | 600s | storage (segment-store shared state, metalog, group commit, I/O lane queue) | `compact` marks durability (group commit) while holding the store's shared state; each log's flusher takes its owner's state lock, then the group-commit lock, one at a time |
 //! | 650s | driver ([`NodeHost`](crate::NodeHost) node / turn order) | the durable manager's snapshotter captures node state *while holding* the metalog install turnstile and tail, so the node ranks above storage; `pump` nests order inside the node lock; no path holds the node lock across a send or a storage acquisition (effects execute after the pump releases it) |
-//! | 700s | join/flusher/snapshotter handle registries | shutdown-only; taken with nothing else held |
+//! | 700s | join/snapshotter handle registries | shutdown-only; taken with nothing else held |
 //! | 50 | test-local locks | below everything: tests hold them across calls into the stack |
 //!
 //! Ranks are spaced by 10 so a new lock can slot between neighbors
@@ -109,14 +109,12 @@ pub const REACTOR_JOBS: u16 = 550;
 // across capture+rotate; lane workers run jobs with nothing held.
 /// `MetaLog.install_mx`: snapshot-install turnstile.
 pub const METALOG_INSTALL: u16 = 590;
-/// `SegmentStore` `Core.shared`: index + segment table + active tail.
+/// `SegmentStore`'s shared state: index, liveness and its segmented log.
 pub const STORE_SHARED: u16 = 600;
 /// `MemStore.blobs`: the in-memory chunk map (test/baseline store).
 pub const STORE_MEM: u16 = 605;
-/// `MetaLog` `Core.inner`: WAL tail + ordering state.
+/// `MetaLog`'s inner state: its segmented log and ordering state.
 pub const METALOG_INNER: u16 = 610;
-/// `MetaLog.lane`: the attached I/O lane registry.
-pub const METALOG_LANE: u16 = 620;
 /// `GroupCommit.commit`: durable/failed watermarks (fsync waits).
 pub const GC_COMMIT: u16 = 630;
 /// `IoLane` `Inner.jobs`: the bounded blocking-work queue.
@@ -138,10 +136,6 @@ pub const NODE_ORDER: u16 = 660;
 pub const REACTOR_JOINS: u16 = 700;
 /// `IoLane.joins`: lane worker thread handles.
 pub const IOLANE_JOINS: u16 = 710;
-/// `SegmentStore.flusher`: the group-commit flusher handle.
-pub const STORE_FLUSHER: u16 = 720;
-/// `MetaLog.flusher`: the WAL flusher handle.
-pub const METALOG_FLUSHER: u16 = 730;
 /// `ManagerServer.snapshotter`: the snapshot-installer handle.
 pub const MGR_SNAPSHOTTER: u16 = 740;
 

@@ -128,26 +128,16 @@ pub trait ChunkStore: Send + Sync + 'static {
         Ok(())
     }
 
-    /// Switches the store into *deferred maintenance* mode (or back):
-    /// mutation paths stop running expensive reclamation (segment
-    /// compaction, with its fsyncs) inline and instead queue candidates
-    /// for [`ChunkStore::maintain`], which the driver runs on the disk
-    /// I/O lane — so a GC-driven compaction never executes on the pump
-    /// thread that delivered the `DropChunk`. A caller that enables
-    /// this owns calling `maintain` (the benefactor schedules it after
-    /// deletes and store batches). Default: no-op — engines without
-    /// background maintenance ignore it.
-    fn set_deferred_maintenance(&self, deferred: bool) {
-        let _ = deferred;
-    }
-
-    /// Runs queued background maintenance (e.g. segment compaction).
-    /// Cheap when nothing is queued. Default: no-op.
+    /// Runs background maintenance (segment compaction) on the calling
+    /// thread — the benefactor calls it on its disk I/O lane after
+    /// deletes and store batches, so reclamation and its fsyncs never
+    /// run on a pump. Mutations never reclaim space themselves. Cheap
+    /// when nothing is due. Default: no-op.
     ///
     /// # Errors
     ///
-    /// I/O failures of the backing medium; unprocessed candidates stay
-    /// queued for the next call.
+    /// I/O failures of the backing medium; whatever was not reclaimed is
+    /// retried by the next call.
     fn maintain(&self) -> io::Result<()> {
         Ok(())
     }
@@ -162,9 +152,9 @@ pub trait ChunkStore: Send + Sync + 'static {
 
     /// The chunk as a [`FileRegion`] suitable for kernel-copy transmit
     /// (`sendfile`), or `None` when the store cannot offer one — chunk
-    /// absent, bytes not in an immutable file (in-memory, still in the
-    /// active segment), or the store wants every read verified. Callers
-    /// must treat `None` as "use [`ChunkStore::get`]", never as "absent".
+    /// absent, or bytes not in an immutable file (in-memory, still in the
+    /// active segment). Callers must treat `None` as "use
+    /// [`ChunkStore::get`]", never as "absent".
     ///
     /// Default: `None` (only stores with stable on-disk records opt in).
     fn read_region(&self, id: ChunkId) -> Option<FileRegion> {

@@ -9,11 +9,11 @@
 //! one active segment file, durability is batched, and space is reclaimed
 //! by compacting mostly-dead segments.
 //!
-//! The record framing, group-commit flusher, torn-tail scan and directory
-//! lock live in the shared [`log`](crate::log) engine core (the manager's
-//! metadata WAL is built on the same pieces); this module adds what is
-//! chunk-specific — the `ChunkId → location` index, rotation bookkeeping,
-//! and liveness-driven compaction.
+//! The segment files themselves — framing, discovery, torn-tail
+//! truncation, append, rotation, group commit and the directory lock —
+//! are the shared [`log`](crate::log) engine (the manager's metadata WAL
+//! runs on the same one); this module adds what is chunk-specific: the
+//! `ChunkId → location` index, per-segment liveness and compaction.
 //!
 //! # On-disk format
 //!
@@ -74,35 +74,38 @@
 //! # Compaction
 //!
 //! Overwrites and deletes strand dead bytes in sealed segments. Each
-//! mutation tracks per-segment live/total counters; when a sealed segment's
-//! dead ratio crosses [`SegmentStoreConfig::compact_dead_ratio`] its live
+//! mutation tracks per-segment live bytes; when a sealed segment's dead
+//! ratio crosses [`SegmentStoreConfig::compact_dead_ratio`] its live
 //! records are re-appended to the active segment (verbatim — the CRC is
 //! position-independent), the copy is synced, and the old file is deleted.
-//! The benefactor's GC `delete` flow is what drives segments dead, so
-//! space reclamation rides the existing maintenance loop with no extra
-//! background thread.
+//! Compaction runs in two places only: at open, and in
+//! [`ChunkStore::maintain`], which the benefactor calls on its disk I/O
+//! lane after deletes and store batches — so neither a delete nor a
+//! rotation ever compacts on the thread that caused it, and no extra
+//! background thread exists.
 
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
+use std::fs;
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use stdchk_util::ordlock::OrderedMutex;
 
 use crate::ranks;
 
 use stdchk_proto::ids::ChunkId;
 
 use crate::log::{
-    acquire_dir_lock, encode_header, read_record, record_size, write_all_two, DirLock, GroupCommit,
-    SyncDelay, HEADER,
+    acquire_dir_lock, encode_header, record_size, LogHandle, LogState, SegmentedLog, SyncDelay,
+    HEADER,
 };
 
 use super::ChunkStore;
 
+/// Segment file-name prefix.
+const PREFIX: &str = "seg-";
 /// Record kind byte: a chunk payload.
 const KIND_PUT: u8 = 0;
 /// Record kind byte: a tombstone.
@@ -134,51 +137,27 @@ struct Loc {
     len: u32,
 }
 
-/// One segment file plus its live/total byte accounting.
-#[derive(Debug)]
-struct Segment {
-    file: Arc<File>,
-    /// Bytes of records whose chunk is still live in the index.
-    live: u64,
-    /// Bytes appended to this segment in total (records and tombstones).
-    total: u64,
-}
-
 /// Mutable store state behind the writer lock.
 #[derive(Debug)]
 struct Shared {
     index: HashMap<ChunkId, Loc>,
-    segs: HashMap<u64, Segment>,
-    /// Number of the active (append) segment — always the max key of `segs`.
-    active: u64,
-    /// Bytes appended to the active segment so far.
-    active_len: u64,
-    /// Monotonic count of bytes appended across all segments; group commit
-    /// waits on this watermark.
-    appended: u64,
-    /// Files sealed by rotation whose `sync_data` is still owed. Rotation
-    /// defers the seal sync here instead of running it inline — the
-    /// appending thread may be an I/O-lane pump that must never eat an
-    /// fsync — and the flusher (or an inline durability point) syncs them
-    /// before the active file, preserving "syncing up to `appended` covers
-    /// every sealed byte".
-    pending_seals: Vec<Arc<File>>,
-    /// A compaction is in progress (re-entrancy guard: its appends can
-    /// rotate, and rotation's sweep must not nest another compaction).
-    compacting: bool,
-    /// Deferred-maintenance mode only: sealed segments over the dead
-    /// threshold, waiting for [`ChunkStore::maintain`] to compact them
-    /// (on the disk I/O lane) instead of the mutating thread.
-    compact_queue: Vec<u64>,
+    /// Bytes of records per segment that the index still points at.
+    live: HashMap<u64, u64>,
+    segs: SegmentedLog,
 }
 
-/// State shared between the store handle and its background flusher. The
-/// group-commit watermark machinery lives in the reusable
-/// [`GroupCommit`] core (`crate::log`); this struct adds the store's own
-/// index state.
-struct Core {
-    shared: OrderedMutex<Shared>,
-    gc: GroupCommit,
+impl LogState for Shared {
+    fn log(&mut self) -> &mut SegmentedLog {
+        &mut self.segs
+    }
+}
+
+/// Subtracts the record at `old`, which the index no longer points at,
+/// from its segment's live bytes.
+fn unlive(live: &mut HashMap<u64, u64>, old: Loc) {
+    if let Some(l) = live.get_mut(&old.seg) {
+        *l -= record_size(old.len);
+    }
 }
 
 /// Append-only segment-log chunk store with group commit (see the module
@@ -186,12 +165,7 @@ struct Core {
 pub struct SegmentStore {
     dir: PathBuf,
     cfg: SegmentStoreConfig,
-    core: Arc<Core>,
-    /// Deferred-maintenance mode (see [`ChunkStore::set_deferred_maintenance`]).
-    deferred: std::sync::atomic::AtomicBool,
-    flusher: OrderedMutex<Option<std::thread::JoinHandle<()>>>,
-    /// Exclusive claim on the directory, released on drop.
-    _dir_lock: DirLock,
+    log: LogHandle<Shared>,
 }
 
 impl std::fmt::Debug for SegmentStore {
@@ -201,19 +175,6 @@ impl std::fmt::Debug for SegmentStore {
             .field("cfg", &self.cfg)
             .finish_non_exhaustive()
     }
-}
-
-impl Drop for SegmentStore {
-    fn drop(&mut self) {
-        self.core.gc.begin_shutdown();
-        if let Some(h) = self.flusher.lock().take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn seg_path(dir: &Path, n: u64) -> PathBuf {
-    dir.join(format!("seg-{n:016x}.log"))
 }
 
 impl SegmentStore {
@@ -231,8 +192,9 @@ impl SegmentStore {
     /// Opens with explicit [`SegmentStoreConfig`] tuning.
     ///
     /// Recovery scans every segment in order, replays puts and tombstones
-    /// into the in-memory index, and truncates a torn tail record (one the
-    /// crash cut short) so the log ends on a valid record boundary.
+    /// into the in-memory index, truncates a torn tail record (one the
+    /// crash cut short) so the log ends on a valid record boundary, and
+    /// compacts sealed segments that are past the dead threshold.
     ///
     /// # Errors
     ///
@@ -242,311 +204,89 @@ impl SegmentStore {
     pub fn open_with(dir: impl AsRef<Path>, cfg: SegmentStoreConfig) -> io::Result<SegmentStore> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let dir_lock = acquire_dir_lock(&dir)?;
-
-        // Discover segments.
-        let mut numbers = Vec::new();
-        for entry in fs::read_dir(&dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(hex) = name
-                .strip_prefix("seg-")
-                .and_then(|s| s.strip_suffix(".log"))
-            {
-                if let Ok(n) = u64::from_str_radix(hex, 16) {
-                    numbers.push(n);
-                }
-            }
-        }
-        numbers.sort_unstable();
-
-        let mut shared = Shared {
-            index: HashMap::new(),
-            segs: HashMap::new(),
-            active: 0,
-            active_len: 0,
-            appended: 0,
-            pending_seals: Vec::new(),
-            compacting: false,
-            compact_queue: Vec::new(),
-        };
-
+        let lock = acquire_dir_lock(&dir)?;
         // Replay, oldest segment first (compaction only ever moves records
         // forward, so ascending segment number is ascending record age).
-        for &n in &numbers {
-            let path = seg_path(&dir, n);
-            let file = OpenOptions::new().read(true).append(true).open(&path)?;
-            let file_len = file.metadata()?.len();
-            let mut off = 0u64;
-            let mut live = 0u64;
-            while off < file_len {
-                match read_record(&file, off, file_len, KIND_TOMBSTONE)? {
-                    Some(rec) => {
-                        let size = record_size(rec.payload.len() as u32);
-                        let id = ChunkId(rec.key);
-                        match rec.kind {
-                            KIND_PUT => {
-                                let old = shared.index.insert(
-                                    id,
-                                    Loc {
-                                        seg: n,
-                                        off,
-                                        len: rec.payload.len() as u32,
-                                    },
-                                );
-                                live += size;
-                                if let Some(old) = old {
-                                    let dead = record_size(old.len);
-                                    if old.seg == n {
-                                        live -= dead;
-                                    } else if let Some(s) = shared.segs.get_mut(&old.seg) {
-                                        s.live -= dead;
-                                    }
-                                }
-                            }
-                            _ => {
-                                if let Some(old) = shared.index.remove(&id) {
-                                    let dead = record_size(old.len);
-                                    if old.seg == n {
-                                        live -= dead;
-                                    } else if let Some(s) = shared.segs.get_mut(&old.seg) {
-                                        s.live -= dead;
-                                    }
-                                }
-                            }
-                        }
-                        off += size;
-                    }
-                    None => {
-                        // Torn tail: drop the unparseable suffix so the next
-                        // append starts on a record boundary.
-                        file.set_len(off)?;
-                        break;
-                    }
+        let mut index = HashMap::new();
+        let mut live = HashMap::new();
+        let segs = SegmentedLog::open(
+            &dir,
+            lock,
+            PREFIX,
+            0,
+            cfg.segment_bytes,
+            KIND_TOMBSTONE,
+            |seg, off, rec| {
+                let id = ChunkId(rec.key);
+                let old = if rec.kind == KIND_PUT {
+                    let len = rec.payload.len() as u32;
+                    *live.entry(seg).or_insert(0) += record_size(len);
+                    index.insert(id, Loc { seg, off, len })
+                } else {
+                    index.remove(&id)
+                };
+                if let Some(old) = old {
+                    unlive(&mut live, old);
                 }
-            }
-            shared.segs.insert(
-                n,
-                Segment {
-                    file: Arc::new(file),
-                    live,
-                    total: off,
-                },
-            );
-            shared.appended += off;
-            shared.active = n;
-            shared.active_len = off;
-        }
-
-        if shared.segs.is_empty() {
-            let file = OpenOptions::new()
-                .read(true)
-                .append(true)
-                .create(true)
-                .open(seg_path(&dir, 0))?;
-            shared.segs.insert(
-                0,
-                Segment {
-                    file: Arc::new(file),
-                    live: 0,
-                    total: 0,
-                },
-            );
-        }
-
-        let core = Arc::new(Core {
-            gc: GroupCommit::new(shared.appended),
-            shared: OrderedMutex::new(ranks::STORE_SHARED, "segment.shared", shared),
-        });
-        let core2 = Arc::clone(&core);
-        let flusher = std::thread::Builder::new()
-            .name("stdchk-seg-flush".into())
-            .spawn(move || {
-                // Snapshot under the shared lock: rotation hands
-                // sealed-but-unsynced files over via `pending_seals`, so
-                // syncing those plus the current active file makes
-                // everything up to the appended count durable.
-                core2.gc.flusher_loop(|| {
-                    let mut shared = core2.shared.lock();
-                    let seals = std::mem::take(&mut shared.pending_seals);
-                    (
-                        shared.appended,
-                        seals,
-                        Arc::clone(&shared.segs[&shared.active].file),
-                    )
-                })
-            })
-            .map_err(io::Error::other)?;
+                Ok(())
+            },
+        )?;
+        let shared = Shared { index, live, segs };
         let store = SegmentStore {
             dir,
             cfg,
-            core,
-            deferred: std::sync::atomic::AtomicBool::new(false),
-            flusher: OrderedMutex::new(ranks::STORE_FLUSHER, "segment.flusher", Some(flusher)),
-            _dir_lock: dir_lock,
+            log: LogHandle::start(
+                shared,
+                ranks::STORE_SHARED,
+                "segment.shared",
+                "stdchk-seg-flush",
+            )?,
         };
         // A crash (or an old layout) may have left mostly-dead sealed
         // segments behind; reclaim them before serving.
-        {
-            let mut shared = store.core.shared.lock();
-            store.sweep_sealed(&mut shared)?;
-        }
+        store.maintain()?;
         Ok(store)
     }
 
     /// Number of segment files currently on disk (tests and benches use
     /// this to observe rotation and compaction).
     pub fn segment_count(&self) -> usize {
-        self.core.shared.lock().segs.len()
+        self.log.lock().segs.segment_count()
     }
 
     /// Total `sync_data` calls issued. `puts / sync_count()` is the
     /// group-commit batch factor achieved under the current load.
     pub fn sync_count(&self) -> u64 {
-        self.core.gc.sync_count()
-    }
-
-    /// One `sync_data`, counted.
-    fn sync_file(&self, file: &File) -> io::Result<()> {
-        self.core.gc.count_sync();
-        file.sync_data()
-    }
-
-    /// Inline durability point: syncs every pending sealed file plus the
-    /// active segment, after which everything appended so far may be
-    /// marked durable. Caller holds the shared lock.
-    fn sync_all(&self, shared: &mut Shared) -> io::Result<()> {
-        let seals = std::mem::take(&mut shared.pending_seals);
-        for sealed in &seals {
-            if let Err(e) = self.sync_file(sealed) {
-                // The seal list was drained; a sealed file of unknown
-                // durability can never be made safe again.
-                self.core.gc.poison();
-                return Err(e);
-            }
-        }
-        self.sync_file(&shared.segs[&shared.active].file)
+        self.log.gc().sync_count()
     }
 
     /// Test/bench fault-injection handle for this store's flusher (see
     /// [`SyncDelay`]).
     pub fn sync_faults(&self) -> SyncDelay {
-        self.core.gc.sync_faults().clone()
+        self.log.gc().sync_faults().clone()
     }
 
-    /// Seals the active segment and opens the next one. Caller holds the
-    /// shared lock. The sealed file's `sync_data` is *deferred* to the
-    /// flusher via `pending_seals` (an appending thread — possibly an
-    /// I/O-lane pump — must never eat an inline fsync); group commit
-    /// still covers sealed bytes because the flusher syncs pending seals
-    /// before advancing the durable watermark.
-    fn rotate(&self, shared: &mut Shared) -> io::Result<()> {
-        let sealed = Arc::clone(&shared.segs[&shared.active].file);
-        shared.pending_seals.push(sealed);
-        let next = shared.active + 1;
-        let file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create_new(true)
-            .open(seg_path(&self.dir, next))?;
-        shared.segs.insert(
-            next,
-            Segment {
-                file: Arc::new(file),
-                live: 0,
-                total: 0,
-            },
-        );
-        shared.active = next;
-        shared.active_len = 0;
-        // Seal-time sweep: the segment just sealed may already be past the
-        // dead threshold (every chunk deleted/overwritten while it was
-        // active) and no future delete will name it. In deferred mode the
-        // candidates queue for `maintain` (the I/O lane) instead — the
-        // rotating thread may be a pump that must not eat compaction
-        // fsyncs.
-        if self.is_deferred() {
-            let sealed: Vec<u64> = shared
-                .segs
-                .keys()
-                .copied()
-                .filter(|&k| k != shared.active)
-                .collect();
-            for n in sealed {
-                self.queue_candidate(shared, n);
-            }
-        } else {
-            self.sweep_sealed(shared)?;
-        }
-        Ok(())
+    /// Whether a sealed segment of `total` bytes, `live` of them live,
+    /// has crossed the dead-byte threshold.
+    fn dead_enough(&self, live: u64, total: u64) -> bool {
+        total > 0 && 1.0 - (live as f64 / total as f64) >= self.cfg.compact_dead_ratio
     }
 
-    /// Appends `header ‖ payload` to the active segment (rotating first if
-    /// full) and returns `(segment, offset, appended-watermark)`. Caller
-    /// holds the shared lock.
-    fn append(
-        &self,
-        shared: &mut Shared,
-        header: &[u8],
-        payload: &[u8],
-    ) -> io::Result<(u64, u64, u64)> {
-        if shared.active_len >= self.cfg.segment_bytes {
-            self.rotate(shared)?;
-        }
-        if self.core.gc.is_poisoned() {
-            return Err(io::Error::other(
-                "segment log poisoned by earlier I/O failure",
-            ));
-        }
-        let seg = shared.active;
-        let off = shared.active_len;
-        if let Err(e) = write_all_two(&shared.segs[&seg].file, header, payload) {
-            // A partial record may be on disk. Roll the file back to the
-            // last good boundary so later appends and recovery stay
-            // aligned with the index; if even that fails, poison the
-            // store — continuing would corrupt acked data.
-            let file = &shared.segs[&seg].file;
-            let rolled_back = file.set_len(off).is_ok()
-                && file.metadata().map(|m| m.len() == off).unwrap_or(false);
-            if !rolled_back {
-                self.core.gc.poison();
-            }
-            return Err(e);
-        }
-        let added = (header.len() + payload.len()) as u64;
-        // stdchk-allow(no-unwrap-on-hot-paths): `seg` was read from shared.active under this same guard; rotate inserts the entry before publishing the id
-        let s = shared.segs.get_mut(&seg).expect("active segment exists");
-        s.total += added;
-        shared.active_len += added;
-        shared.appended += added;
-        // Publish and kick the flusher now so writeback overlaps the rest
-        // of the batch.
-        self.core.gc.note_appended(shared.appended);
-        Ok((seg, off, shared.appended))
-    }
-
-    /// Blocks until everything appended up to `target` is durable — i.e.
-    /// covered by one of the flusher's batched `sync_data` calls.
-    fn group_commit(&self, target: u64) -> io::Result<()> {
-        self.core.gc.wait_durable(target)
-    }
-
-    /// Rewrites the still-needed records of sealed segment `n` to the
-    /// active segment and deletes its file. Caller holds the shared lock.
+    /// Rewrites the still-needed records of sealed segment `n` (`total`
+    /// bytes) to the active segment and deletes its file. Caller holds
+    /// the shared lock.
     ///
     /// Live chunk records move verbatim (the CRC is position-independent).
     /// Tombstones are trickier: one may guard against a stale put of the
     /// same id sitting in an *older* segment, so a tombstone is dropped
     /// only if the id is live again (a newer put supersedes it) or no
     /// older segment remains; otherwise it is carried forward.
-    fn compact(&self, shared: &mut Shared, n: u64) -> io::Result<()> {
-        debug_assert_ne!(n, shared.active, "never compact the active segment");
-        let (src, total) = {
-            let s = &shared.segs[&n];
-            (Arc::clone(&s.file), s.total)
+    fn compact(&self, shared: &mut Shared, n: u64, total: u64) -> io::Result<()> {
+        let Some(src) = shared.segs.file(n).cloned() else {
+            return Ok(());
         };
-        let no_older_segment = shared.segs.keys().all(|&k| k >= n);
+        let gc = self.log.gc();
+        let no_older_segment = shared.segs.sealed().all(|(k, _)| k >= n);
         let file_len = src.metadata()?.len().min(total);
         let mut off = 0u64;
         let mut buf = Vec::new();
@@ -562,7 +302,7 @@ impl SegmentStore {
             if kind == KIND_TOMBSTONE {
                 if !shared.index.contains_key(&id) && !no_older_segment {
                     // Still guarding an older stale put: carry it forward.
-                    self.append(shared, &header, &[])?;
+                    shared.segs.append(gc, &header, &[])?;
                 }
             } else {
                 // Move the record only if the index still points at it
@@ -574,7 +314,7 @@ impl SegmentStore {
                 if is_current {
                     buf.resize(size as usize, 0);
                     src.read_exact_at(&mut buf, off)?;
-                    let (seg, new_off, _) = self.append(shared, &buf, &[])?;
+                    let (seg, new_off, _) = shared.segs.append(gc, &buf, &[])?;
                     shared.index.insert(
                         id,
                         Loc {
@@ -583,83 +323,17 @@ impl SegmentStore {
                             len,
                         },
                     );
-                    // stdchk-allow(no-unwrap-on-hot-paths): compaction/recovery just inserted or re-read this segment id under the same shared guard
-                    let s = shared.segs.get_mut(&seg).expect("active segment exists");
-                    s.live += size;
+                    *shared.live.entry(seg).or_insert(0) += size;
                 }
             }
             off += size;
         }
-        // The copies must be durable before the originals disappear. The
-        // inline sync must also cover any rotation-deferred seal syncs,
-        // or marking `appended` durable would over-promise.
-        self.sync_all(shared)?;
-        self.core.gc.mark_durable(shared.appended);
-        shared.segs.remove(&n);
-        fs::remove_file(seg_path(&self.dir, n))?;
-        Ok(())
+        // The copies must be durable before the original disappears.
+        shared.segs.sync_all(gc)?;
+        shared.live.remove(&n);
+        shared.segs.remove(n)
     }
 
-    /// True when deferred-maintenance mode routes compaction through
-    /// [`ChunkStore::maintain`] instead of the mutating thread.
-    fn is_deferred(&self) -> bool {
-        self.deferred.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Whether sealed segment `n` has crossed the dead-byte threshold.
-    fn over_threshold(&self, shared: &Shared, n: u64) -> bool {
-        if n == shared.active {
-            return false;
-        }
-        let Some(s) = shared.segs.get(&n) else {
-            return false;
-        };
-        s.total > 0 && 1.0 - (s.live as f64 / s.total as f64) >= self.cfg.compact_dead_ratio
-    }
-
-    /// Deferred mode: remembers `n` for the next [`ChunkStore::maintain`]
-    /// instead of compacting here. Caller holds the shared lock.
-    fn queue_candidate(&self, shared: &mut Shared, n: u64) {
-        if self.over_threshold(shared, n) && !shared.compact_queue.contains(&n) {
-            shared.compact_queue.push(n);
-        }
-    }
-
-    /// Compacts sealed segment `n` if its dead ratio crossed the threshold.
-    /// Caller holds the shared lock. Re-entrancy guarded: a compaction's
-    /// own appends can rotate the active segment, whose seal-time sweep
-    /// must not start a nested compaction.
-    fn maybe_compact(&self, shared: &mut Shared, n: u64) -> io::Result<()> {
-        if shared.compacting || !self.over_threshold(shared, n) {
-            return Ok(());
-        }
-        shared.compacting = true;
-        let res = self.compact(shared, n);
-        shared.compacting = false;
-        res
-    }
-
-    /// Checks every sealed segment against the compaction threshold. Runs
-    /// at open (crash may have left fully-dead segments) and at rotation
-    /// (a segment sealed 100%-dead — all its chunks deleted or overwritten
-    /// while it was active — is never named by a future delete, so seal
-    /// time is the last natural trigger).
-    fn sweep_sealed(&self, shared: &mut Shared) -> io::Result<()> {
-        let mut sealed: Vec<u64> = shared
-            .segs
-            .keys()
-            .copied()
-            .filter(|&k| k != shared.active)
-            .collect();
-        sealed.sort_unstable();
-        for n in sealed {
-            self.maybe_compact(shared, n)?;
-        }
-        Ok(())
-    }
-}
-
-impl SegmentStore {
     /// Appends one put record (header + payload) and indexes it, returning
     /// the append watermark to commit to. Caller holds the shared lock.
     fn append_put(
@@ -669,25 +343,13 @@ impl SegmentStore {
         header: &[u8; HEADER],
         payload: &[u8],
     ) -> io::Result<u64> {
-        let (seg, off, target) = self.append(shared, header, payload)?;
-        let old = shared.index.insert(
-            id,
-            Loc {
-                seg,
-                off,
-                len: payload.len() as u32,
-            },
-        );
-        // stdchk-allow(no-unwrap-on-hot-paths): compaction/recovery just inserted or re-read this segment id under the same shared guard
-        let s = shared.segs.get_mut(&seg).expect("active segment exists");
-        s.live += record_size(payload.len() as u32);
-        if let Some(old) = old {
+        let (seg, off, target) = shared.segs.append(self.log.gc(), header, payload)?;
+        let len = payload.len() as u32;
+        *shared.live.entry(seg).or_insert(0) += record_size(len);
+        if let Some(old) = shared.index.insert(id, Loc { seg, off, len }) {
             // The overwrite strands the old record. No compaction here —
-            // the put path must stay O(chunk); stranded segments are
-            // reclaimed by the GC/delete flow or the seal-time sweep.
-            if let Some(s) = shared.segs.get_mut(&old.seg) {
-                s.live -= record_size(old.len);
-            }
+            // the put path must stay O(chunk); `maintain` reclaims it.
+            unlive(&mut shared.live, old);
         }
         Ok(target)
     }
@@ -711,54 +373,52 @@ impl ChunkStore for SegmentStore {
         let mut target = 0;
         for (id, data) in batch {
             let header = encode_header(KIND_PUT, id.as_bytes(), data);
-            let mut shared = self.core.shared.lock();
+            let mut shared = self.log.lock();
             target = self.append_put(&mut shared, *id, &header, data)?;
         }
         Ok(target)
     }
 
+    /// Blocks until everything appended up to `token` is durable — i.e.
+    /// covered by one of the flusher's batched `sync_data` calls.
     fn wait_put(&self, token: u64) -> io::Result<()> {
         if token > 0 {
-            self.group_commit(token)?;
+            self.log.gc().wait_durable(token)?;
         }
         Ok(())
     }
 
-    fn set_deferred_maintenance(&self, deferred: bool) {
-        self.deferred
-            .store(deferred, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Compacts every queued candidate. Runs on the caller's thread —
-    /// the benefactor schedules it on the disk I/O lane after deletes
-    /// and store batches. The shared lock is held across each
-    /// compaction (as it always was for the inline path), so store
-    /// mutations contend with a running compaction; what this mode
-    /// removes is the pump *itself* eating the copy + fsync.
+    /// Compacts every sealed segment past the dead threshold, oldest
+    /// first — the only place besides open that compacts. Runs on the
+    /// caller's thread: the benefactor calls it on its disk I/O lane
+    /// after deletes and store batches. The shared lock is held across
+    /// the sweep, so store mutations wait out a running compaction. Cheap
+    /// when no segment qualifies.
     fn maintain(&self) -> io::Result<()> {
-        let mut shared = self.core.shared.lock();
-        let mut pending = std::mem::take(&mut shared.compact_queue);
-        while let Some(n) = pending.pop() {
-            if let Err(e) = self.maybe_compact(&mut shared, n) {
-                // Unprocessed candidates stay queued for the next call.
-                pending.push(n);
-                shared.compact_queue.extend(pending);
-                return Err(e);
-            }
+        let mut shared = self.log.lock();
+        let due: Vec<(u64, u64)> = shared
+            .segs
+            .sealed()
+            .filter(|&(n, total)| {
+                self.dead_enough(shared.live.get(&n).copied().unwrap_or(0), total)
+            })
+            .collect();
+        for (n, total) in due {
+            self.compact(&mut shared, n, total)?;
         }
         Ok(())
     }
 
     fn get(&self, id: ChunkId) -> io::Result<Option<Bytes>> {
         let (file, loc) = {
-            let shared = self.core.shared.lock();
+            let shared = self.log.lock();
             let Some(loc) = shared.index.get(&id).copied() else {
                 return Ok(None);
             };
-            let Some(seg) = shared.segs.get(&loc.seg) else {
+            let Some(file) = shared.segs.file(loc.seg) else {
                 return Ok(None);
             };
-            (Arc::clone(&seg.file), loc)
+            (Arc::clone(file), loc)
         };
         // pread outside the lock: the Arc keeps the file readable even if a
         // concurrent compaction unlinks the segment.
@@ -782,13 +442,12 @@ impl ChunkStore for SegmentStore {
     /// the payload bytes skip user space.
     fn read_region(&self, id: ChunkId) -> Option<super::FileRegion> {
         let (file, loc) = {
-            let shared = self.core.shared.lock();
+            let shared = self.log.lock();
             let loc = shared.index.get(&id).copied()?;
-            if loc.seg == shared.active {
+            if loc.seg == shared.segs.active() {
                 return None; // unsealed: still being appended to
             }
-            let seg = shared.segs.get(&loc.seg)?;
-            (Arc::clone(&seg.file), loc)
+            (Arc::clone(shared.segs.file(loc.seg)?), loc)
         };
         let mut hdr = [0u8; HEADER];
         if file.read_exact_at(&mut hdr, loc.off).is_err() {
@@ -806,38 +465,27 @@ impl ChunkStore for SegmentStore {
     }
 
     fn delete(&self, id: ChunkId) -> io::Result<()> {
-        let mut shared = self.core.shared.lock();
+        let mut shared = self.log.lock();
         let Some(old) = shared.index.remove(&id) else {
             return Ok(()); // absent deletes are fine (and append nothing)
         };
-        if let Some(s) = shared.segs.get_mut(&old.seg) {
-            s.live -= record_size(old.len);
-        }
+        unlive(&mut shared.live, old);
         // Tombstone so a restart does not resurrect the chunk. Not synced:
         // losing it to a crash only re-surfaces a chunk the next GC pass
-        // deletes again. The tombstone append itself stays on this
-        // thread in every mode — it is what fixes the delete's position
-        // in the record order.
+        // deletes again. Appending it here fixes the delete's position in
+        // the record order; the segment it killed waits for `maintain`.
         let header = encode_header(KIND_TOMBSTONE, id.as_bytes(), &[]);
-        self.append(&mut shared, &header, &[])?;
-        if self.is_deferred() {
-            // Compaction (and its fsyncs) waits for `maintain` on the
-            // I/O lane; this thread may be a reactor pump.
-            self.queue_candidate(&mut shared, old.seg);
-        } else {
-            self.maybe_compact(&mut shared, old.seg)?;
-        }
+        shared.segs.append(self.log.gc(), &header, &[])?;
         Ok(())
     }
 
     fn ids(&self) -> io::Result<Vec<ChunkId>> {
-        Ok(self.core.shared.lock().index.keys().copied().collect())
+        Ok(self.log.lock().index.keys().copied().collect())
     }
 
     fn entries(&self) -> io::Result<Vec<(ChunkId, u32)>> {
         Ok(self
-            .core
-            .shared
+            .log
             .lock()
             .index
             .iter()
@@ -849,12 +497,15 @@ impl ChunkStore for SegmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("stdchk-seg-{name}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         dir
+    }
+
+    fn seg_path(dir: &Path, n: u64) -> PathBuf {
+        crate::log::numbered_path(dir, PREFIX, n, crate::log::SEGMENT_SUFFIX)
     }
 
     fn chunk(i: u64, len: usize) -> (ChunkId, Vec<u8>) {
@@ -905,32 +556,53 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_on_reopen() {
-        let dir = tmp("torn");
-        let (id, data) = chunk(3, 512);
+        // Three records, then a crash that cuts the third at every byte
+        // offset, header and payload alike.
+        let src = tmp("torn-src");
+        let chunks: Vec<_> = (0..3).map(|i| chunk(3 + i, 64)).collect();
+        let mut ends = Vec::new();
         {
-            let store = SegmentStore::open(&dir).unwrap();
-            store.put(id, &data).unwrap();
+            let store = SegmentStore::open(&src).unwrap();
+            for (id, data) in &chunks {
+                store.put(*id, data).unwrap();
+                ends.push(fs::metadata(seg_path(&src, 0)).unwrap().len());
+            }
         }
-        // Simulate a crash mid-append: half a record of garbage at the tail.
+        let full = fs::read(seg_path(&src, 0)).unwrap();
+        let dir = tmp("torn");
         let seg = seg_path(&dir, 0);
-        let clean_len = fs::metadata(&seg).unwrap().len();
-        let mut f = OpenOptions::new().append(true).open(&seg).unwrap();
-        f.write_all(&[0xDE; 23]).unwrap();
-        drop(f);
-
-        let store = SegmentStore::open(&dir).unwrap();
-        assert_eq!(&store.get(id).unwrap().unwrap()[..], &data[..]);
-        assert_eq!(
-            fs::metadata(&seg).unwrap().len(),
-            clean_len,
-            "torn suffix must be truncated"
-        );
-        // And the log accepts appends again.
-        let (id2, data2) = chunk(4, 256);
-        store.put(id2, &data2).unwrap();
-        drop(store);
-        let store = SegmentStore::open(&dir).unwrap();
-        assert_eq!(&store.get(id2).unwrap().unwrap()[..], &data2[..]);
+        let (id_new, data_new) = chunk(9, 256);
+        for cut in ends[1] + 1..ends[2] {
+            fs::remove_dir_all(&dir).ok();
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(&seg, &full[..cut as usize]).unwrap();
+            let store = SegmentStore::open(&dir).unwrap();
+            for (id, data) in &chunks[..2] {
+                assert_eq!(
+                    &store.get(*id).unwrap().unwrap()[..],
+                    &data[..],
+                    "cut {cut}"
+                );
+            }
+            assert!(store.get(chunks[2].0).unwrap().is_none(), "cut {cut}");
+            assert_eq!(
+                fs::metadata(&seg).unwrap().len(),
+                ends[1],
+                "torn suffix must be truncated (cut {cut})"
+            );
+            // And the log accepts appends again.
+            store.put(id_new, &data_new).unwrap();
+            drop(store);
+            let store = SegmentStore::open(&dir).unwrap();
+            for (id, data) in chunks[..2].iter().chain([&(id_new, data_new.clone())]) {
+                assert_eq!(
+                    &store.get(*id).unwrap().unwrap()[..],
+                    &data[..],
+                    "cut {cut}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&src).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -955,6 +627,7 @@ mod tests {
         for (id, _) in ids.iter().take(24) {
             store.delete(*id).unwrap();
         }
+        store.maintain().unwrap();
         assert!(
             store.segment_count() < before,
             "compaction must remove mostly-dead segments ({} -> {})",
@@ -1041,6 +714,7 @@ mod tests {
             let (id, data) = chunk(300 + i, 1 << 10);
             store.put(id, &data).unwrap();
         }
+        store.maintain().unwrap();
         assert!(
             !seg_path(&dir, 0).exists(),
             "fully-dead sealed segment must be swept at rotation"
@@ -1084,6 +758,7 @@ mod tests {
             for id in doomed {
                 store.delete(id).unwrap();
             }
+            store.maintain().unwrap();
             assert!(
                 !seg_path(&dir, 1).exists(),
                 "test setup must actually compact the tombstone's segment"
@@ -1104,16 +779,15 @@ mod tests {
 
     #[test]
     fn deferred_maintenance_compacts_only_in_maintain() {
-        // I/O-lane mode: deletes must not run compaction (and its
-        // fsyncs) on the calling thread; candidates queue until
-        // `maintain` — which the benefactor schedules on the lane.
+        // Deletes never run compaction (and its fsyncs) on the calling
+        // thread; it waits for `maintain`, which the benefactor
+        // schedules on its I/O lane.
         let dir = tmp("deferred");
         let cfg = SegmentStoreConfig {
             segment_bytes: 8 << 10,
             compact_dead_ratio: 0.5,
         };
         let store = SegmentStore::open_with(&dir, cfg).unwrap();
-        store.set_deferred_maintenance(true);
         let mut ids = Vec::new();
         for i in 0..32 {
             let (id, data) = chunk(400 + i, 1 << 10);

@@ -118,6 +118,7 @@ enum Op {
     Put { key: u8, len: u16 },
     Get { key: u8 },
     Delete { key: u8 },
+    Maintain,
     Reopen,
 }
 
@@ -126,6 +127,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (any::<u8>(), 1u16..2048).prop_map(|(key, len)| Op::Put { key: key % 12, len }),
         any::<u8>().prop_map(|key| Op::Get { key: key % 12 }),
         any::<u8>().prop_map(|key| Op::Delete { key: key % 12 }),
+        Just(Op::Maintain),
         Just(Op::Reopen),
     ]
 }
@@ -174,6 +176,7 @@ proptest! {
                     store.delete(id).map_err(|e| e.to_string())?;
                     model.delete(id).unwrap();
                 }
+                Op::Maintain => store.maintain().map_err(|e| e.to_string())?,
                 Op::Reopen => {
                     drop(store);
                     store = SegmentStore::open_with(&dir, cfg).map_err(|e| e.to_string())?;
