@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the hot paths: SHA-256 hashing, rolling
-//! window hashes, chunking heuristics, the wire codec, and manager
-//! metadata operations.
+//! window hashes, delta signatures and encoding, chunking heuristics, the
+//! wire codec, and manager metadata operations.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
+use stdchk_chunker::delta::{delta_encode_signed, ChunkSignature};
 use stdchk_chunker::{CbChunker, CbRollingChunker, Chunker, FsChunker};
 use stdchk_core::{Action, Manager, Node, PoolConfig};
 use stdchk_proto::codec::Wire;
@@ -47,6 +48,35 @@ fn bench_hashing(c: &mut Criterion) {
             }
             acc
         })
+    });
+    g.finish();
+}
+
+/// The write session's per-chunk delta work on a 1 MiB chunk: the
+/// signature of a chunk shipped without a basis, and the one-pass encode
+/// and sign of a chunk shipped against one. Unrelated content is the
+/// worst case: every byte of it is a rolling-scan position.
+fn bench_delta(c: &mut Criterion) {
+    let basis = data(1 << 20);
+    let patch: Vec<u8> = (0..300u64).map(|i| mix64(!i) as u8).collect();
+    let mut edited = basis.clone();
+    edited[300_000..300_300].copy_from_slice(&patch);
+    let mut inserted = basis.clone();
+    inserted.splice(300_000..300_000, patch[..100].iter().copied());
+    let unrelated: Vec<u8> = (0..1u64 << 20).map(|i| mix64(!i) as u8).collect();
+    let sig = ChunkSignature::of(&basis);
+    let mut g = c.benchmark_group("delta");
+    g.sample_size(20);
+    g.throughput(Throughput::Bytes(basis.len() as u64));
+    g.bench_function("signature_1mib", |b| b.iter(|| ChunkSignature::of(&basis)));
+    g.bench_function("encode_1mib_in_place_edit", |b| {
+        b.iter(|| delta_encode_signed(&sig, &edited))
+    });
+    g.bench_function("encode_1mib_100b_insertion", |b| {
+        b.iter(|| delta_encode_signed(&sig, &inserted))
+    });
+    g.bench_function("encode_1mib_unrelated", |b| {
+        b.iter(|| delta_encode_signed(&sig, &unrelated))
     });
     g.finish();
 }
@@ -169,6 +199,7 @@ fn bench_manager(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_hashing,
+    bench_delta,
     bench_chunkers,
     bench_codec,
     bench_manager

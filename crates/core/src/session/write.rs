@@ -24,7 +24,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use bytes::Bytes;
-use stdchk_chunker::delta::{delta_encode, ChunkSignature};
+use stdchk_chunker::delta::{delta_encode_signed, ChunkSignature};
 use stdchk_proto::chunkmap::ChunkEntry;
 use stdchk_proto::ids::{ChunkId, FileId, NodeId, RequestId, ReservationId, VersionId};
 use stdchk_proto::msg::{DedupSummary, Msg};
@@ -733,27 +733,30 @@ impl WriteSession {
         self.rr += 1;
         self.used_chunks += 1;
         let req = self.reqs.next();
-        if self.cfg.negotiate {
-            // Shipped chunks become delta bases for the next version.
-            if let Payload::Real(bytes) = &payload {
-                self.out_sigs
-                    .entry(chunk)
-                    .or_insert_with(|| ChunkSignature::of(bytes));
-            }
-        }
         // Near miss with a usable basis: ship a delta when it beats the
-        // full chunk on the wire.
+        // full chunk on the wire. The same pass signs the chunk.
+        let mut signed = None;
         let delta = if self.cfg.negotiate && !background {
             self.chunk_basis.get(&chunk).and_then(|basis| {
                 let sig = self.basis_sigs.get(basis)?;
                 let Payload::Real(bytes) = &payload else {
                     return None;
                 };
-                delta_encode(sig, bytes).map(|d| (*basis, Bytes::from(d)))
+                let (delta, sig) = delta_encode_signed(sig, bytes);
+                signed = Some(sig);
+                delta.map(|d| (*basis, Bytes::from(d)))
             })
         } else {
             None
         };
+        if self.cfg.negotiate {
+            // Shipped chunks become delta bases for the next version.
+            if let Payload::Real(bytes) = &payload {
+                self.out_sigs
+                    .entry(chunk)
+                    .or_insert_with(|| signed.unwrap_or_else(|| ChunkSignature::of(bytes)));
+            }
+        }
         // A delta can only be applied by a benefactor that stores the
         // basis; route it to one, or ship full if no stripe node does.
         let delta = delta.filter(|(basis, _)| {

@@ -31,7 +31,7 @@
 //! read, so a dead manager or benefactor fails fast instead of hanging a
 //! client thread.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
@@ -333,7 +333,7 @@ struct GridInner {
     /// chunk signatures and placements feeding the *next* version of the
     /// same file. Purely an optimization cache: a stale or missing entry
     /// only means a chunk ships in full instead of as a delta.
-    signatures: OrderedMutex<HashMap<String, PathBases>>,
+    signatures: OrderedMutex<SignatureCache>,
 }
 
 impl Drop for GridInner {
@@ -359,6 +359,11 @@ impl Drop for GridInner {
     }
 }
 
+/// Bytes of delta bases one [`Grid`] keeps over all paths, about the
+/// bases of a 1.3 GiB image at the default 1 MiB chunk size. Past it the
+/// least recently written paths go first.
+const SIGNATURE_CACHE_BYTES: usize = 16 << 20;
+
 /// Delta bases one path's last write left behind: per-chunk signatures
 /// (what to diff against) and placements (where a delta can be applied).
 #[derive(Default)]
@@ -383,6 +388,106 @@ impl PathBases {
         self.homes.extend(homes);
         self.sigs.retain(|id, _| committed.contains(id));
         self.homes.retain(|id, _| committed.contains(id));
+    }
+
+    /// Bytes these bases hold, map entries included.
+    fn bytes(&self) -> usize {
+        let sigs: usize = self.sigs.values().map(sig_bytes).sum();
+        let homes: usize = self.homes.values().map(home_bytes).sum();
+        sigs + homes
+    }
+
+    /// Drops chunks' bases, in no particular order, until the rest hold
+    /// at most `budget` bytes.
+    fn trim_to(&mut self, budget: usize) {
+        let mut bytes = self.bytes();
+        if bytes <= budget {
+            return;
+        }
+        let ids: Vec<ChunkId> = self.sigs.keys().chain(self.homes.keys()).copied().collect();
+        for id in ids {
+            if bytes <= budget {
+                break;
+            }
+            bytes -= self.sigs.remove(&id).as_ref().map_or(0, sig_bytes);
+            bytes -= self.homes.remove(&id).as_ref().map_or(0, home_bytes);
+        }
+    }
+}
+
+/// Bytes one chunk's cached signature holds, its map entry included.
+fn sig_bytes(sig: &ChunkSignature) -> usize {
+    std::mem::size_of::<(ChunkId, ChunkSignature)>() + sig.heap_bytes()
+}
+
+/// Bytes one chunk's cached placement holds, its map entry included.
+fn home_bytes(home: &Vec<NodeId>) -> usize {
+    std::mem::size_of::<(ChunkId, Vec<NodeId>)>() + home.capacity() * std::mem::size_of::<NodeId>()
+}
+
+/// Every path's [`PathBases`], bounded to a byte budget. Past it the
+/// least recently written path goes first; a path written alone past it
+/// keeps as many of its chunks' bases as fit.
+struct SignatureCache {
+    budget: usize,
+    /// Sum of `PathBases::bytes` over `paths`.
+    bytes: usize,
+    /// Path → (write stamp, bases, their bytes).
+    paths: HashMap<String, (u64, PathBases, usize)>,
+    /// Write stamp → path, oldest first.
+    order: BTreeMap<u64, String>,
+    next_stamp: u64,
+}
+
+impl SignatureCache {
+    fn new(budget: usize) -> Self {
+        SignatureCache {
+            budget,
+            bytes: 0,
+            paths: HashMap::new(),
+            order: BTreeMap::new(),
+            next_stamp: 0,
+        }
+    }
+
+    fn get(&self, path: &str) -> Option<&PathBases> {
+        self.paths.get(path).map(|(_, bases, _)| bases)
+    }
+
+    /// Folds a committed write of `path` into its bases
+    /// ([`PathBases::merge`]), makes `path` the most recently written, and
+    /// evicts down to the budget.
+    fn record(
+        &mut self,
+        path: &str,
+        sigs: HashMap<ChunkId, ChunkSignature>,
+        homes: HashMap<ChunkId, Vec<NodeId>>,
+        committed: &HashSet<ChunkId>,
+    ) {
+        let mut bases = match self.paths.remove(path) {
+            Some((stamp, bases, bytes)) => {
+                self.order.remove(&stamp);
+                self.bytes -= bytes;
+                bases
+            }
+            None => PathBases::default(),
+        };
+        bases.merge(sigs, homes, committed);
+        bases.trim_to(self.budget);
+        let bytes = bases.bytes();
+        while self.bytes + bytes > self.budget {
+            let Some((_, oldest)) = self.order.pop_first() else {
+                break;
+            };
+            if let Some((_, _, freed)) = self.paths.remove(&oldest) {
+                self.bytes -= freed;
+            }
+        }
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.order.insert(stamp, path.to_string());
+        self.paths.insert(path.to_string(), (stamp, bases, bytes));
+        self.bytes += bytes;
     }
 }
 
@@ -479,7 +584,7 @@ impl Grid {
             signatures: OrderedMutex::new(
                 ranks::CLIENT_SIGNATURES,
                 "client.signatures",
-                HashMap::new(),
+                SignatureCache::new(SIGNATURE_CACHE_BYTES),
             ),
         });
         rt.app
@@ -1215,8 +1320,10 @@ impl WriteHandle {
 
     /// Banks this session's chunk signatures in the grid's per-path cache:
     /// the delta bases for the next write of the same path, bounded to the
-    /// version just committed ([`PathBases::merge`]). A base pruned from
-    /// the pool only costs a fallback to full transfer, never correctness.
+    /// version just committed ([`PathBases::merge`]) and to the cache's
+    /// byte budget ([`SignatureCache::record`]). A base pruned from the
+    /// pool or evicted only costs a fallback to full transfer, never
+    /// correctness.
     fn harvest_signatures(&self) {
         let (sigs, homes, committed) = {
             let mut s = self.shared.session.lock();
@@ -1224,13 +1331,10 @@ impl WriteHandle {
             (s.take_signatures(), s.shipped_placements(), committed)
         };
         let mut cache = self.grid.inner.signatures.lock();
-        if sigs.is_empty() && !cache.contains_key(&self.path) {
+        if sigs.is_empty() && cache.get(&self.path).is_none() {
             return;
         }
-        cache
-            .entry(self.path.clone())
-            .or_default()
-            .merge(sigs, homes, &committed);
+        cache.record(&self.path, sigs, homes, &committed);
     }
 
     /// Closes the file: drains data, commits the chunk-map, and returns the
@@ -1392,5 +1496,58 @@ mod tests {
             assert_eq!(held, want, "version {v}");
             assert_eq!(bases.homes.len(), ids.len());
         }
+    }
+
+    /// Records a committed write of `path` that shipped `n` chunks (ids
+    /// from `p`), each with signature `sig` and one placement.
+    fn write(cache: &mut SignatureCache, path: &str, p: u64, n: u64, sig: &ChunkSignature) {
+        let ids: Vec<ChunkId> = (0..n).map(|i| ChunkId::test_id(p << 16 | i)).collect();
+        cache.record(
+            path,
+            ids.iter().map(|id| (*id, sig.clone())).collect(),
+            ids.iter().map(|id| (*id, vec![NodeId(1)])).collect(),
+            &ids.into_iter().collect(),
+        );
+    }
+
+    #[test]
+    fn signature_cache_evicts_the_least_recently_written_path() {
+        let sig = ChunkSignature::of(&[7u8; 64 << 10]);
+        let budget = 256 << 10;
+        let mut cache = SignatureCache::new(budget);
+        let path = |p: u64| format!("/ckpt/{p}");
+        for p in 0..200u64 {
+            write(&mut cache, &path(p), p, 4, &sig);
+            // Rewriting path 0 keeps it among the most recently written.
+            if p % 10 == 9 {
+                write(&mut cache, &path(0), 0, 4, &sig);
+            }
+            let held: usize = cache.paths.values().map(|(_, b, _)| b.bytes()).sum();
+            assert_eq!(cache.bytes, held, "path {p}");
+            assert!(cache.bytes <= budget, "path {p}: {} bytes", cache.bytes);
+            assert_eq!(
+                cache.get(&path(p)).map(|b| b.sigs.len()),
+                Some(4),
+                "path {p}"
+            );
+        }
+        assert!(cache.paths.len() < 200, "nothing was evicted");
+        assert_eq!(cache.paths.len(), cache.order.len());
+        assert!(cache.get(&path(1)).is_none(), "oldest path kept");
+        assert!(cache.get(&path(0)).is_some(), "rewritten path evicted");
+    }
+
+    #[test]
+    fn signature_cache_trims_a_path_larger_than_its_budget() {
+        let sig = ChunkSignature::of(&[7u8; 64 << 10]);
+        let budget = 64 << 10;
+        let mut cache = SignatureCache::new(budget);
+        write(&mut cache, "/small", 1, 4, &sig);
+        write(&mut cache, "/large", 2, 100, &sig);
+        assert!(cache.get("/small").is_none());
+        let large = cache.get("/large").expect("newest path kept");
+        assert!(!large.sigs.is_empty() && large.sigs.len() < 100);
+        assert!(cache.bytes <= budget);
+        assert_eq!(cache.bytes, large.bytes());
     }
 }

@@ -15,6 +15,14 @@
 //! behaviour faithfully. [`RollingHash`] is an O(1)-slide Rabin–Karp variant
 //! we ship as an extension: it makes the overlap regime cheap, and an
 //! ablation benchmark shows the throughput gap closing.
+//!
+//! [`lane_hash`] computes the same value as [`WindowHash::hash`] over a
+//! whole window, but splits the polynomial over 8 independent
+//! multiply-add lanes instead of one serial chain, so the CPU overlaps
+//! their multiplies. The delta encoder's block signatures use it, and
+//! [`RollingHash::refill`] seeds a rolling window with it. `WindowHash`
+//! keeps the serial chain: it is the per-position cost the paper's
+//! overlap mode pays, which the CbCH ablation measures.
 
 use crate::mix64;
 
@@ -22,6 +30,71 @@ use crate::mix64;
 /// dispersion; the final [`mix64`] whitening is what boundary decisions rely
 /// on, so the base only needs to avoid degenerate cycles.
 const BASE: u64 = 0x0100_0000_01b3; // FNV-ish prime, 2^40 scale
+
+/// Lanes of [`lane_hash`]: lane `j` folds bytes `j, j + 8, j + 16, …`.
+const LANES: usize = 8;
+
+/// `BASE^e` with wrapping arithmetic.
+const fn base_pow(e: u32) -> u64 {
+    let mut w: u64 = 1;
+    let mut i = 0;
+    while i < e {
+        w = w.wrapping_mul(BASE);
+        i += 1;
+    }
+    w
+}
+
+/// `BASE^8`: one step of a lane skips the 8 bytes the other lanes fold.
+const LANE_STEP: u64 = base_pow(LANES as u32);
+
+/// `BASE^(7-j)`, the weight lane `j`'s sum carries in the serial chain.
+const LANE_WEIGHTS: [u64; LANES] = [
+    base_pow(7),
+    base_pow(6),
+    base_pow(5),
+    base_pow(4),
+    base_pow(3),
+    base_pow(2),
+    base_pow(1),
+    base_pow(0),
+];
+
+/// The unwhitened accumulator `Σ (w[i] + 1) · BASE^(m-1-i)`, computed on 8
+/// lanes.
+///
+/// Over the first `8g` bytes, lane `j` holds `Σ (w[8k+j] + 1) ·
+/// BASE^(8(g-1-k))`, so `Σ lane_j · BASE^(7-j)` is the serial chain's
+/// value after those bytes. The last `m mod 8` bytes continue that chain.
+#[inline]
+fn lane_acc(window: &[u8]) -> u64 {
+    let mut lanes = [0u64; LANES];
+    let mut groups = window.chunks_exact(LANES);
+    for g in &mut groups {
+        for (lane, &b) in lanes.iter_mut().zip(g) {
+            *lane = lane.wrapping_mul(LANE_STEP).wrapping_add(b as u64 + 1);
+        }
+    }
+    let mut acc = lanes
+        .iter()
+        .zip(LANE_WEIGHTS)
+        .fold(0u64, |acc, (&lane, w)| {
+            acc.wrapping_add(lane.wrapping_mul(w))
+        });
+    for &b in groups.remainder() {
+        acc = acc.wrapping_mul(BASE).wrapping_add(b as u64 + 1);
+    }
+    acc
+}
+
+/// [`WindowHash::hash`] of `window`, computed on 8 independent lanes.
+///
+/// Equal to `WindowHash::hash(window)` and to a [`RollingHash`] over
+/// `window` for every input, at any length; property-tested.
+#[inline]
+pub fn lane_hash(window: &[u8]) -> u64 {
+    mix64(lane_acc(window))
+}
 
 /// One-shot polynomial hash of a byte window.
 ///
@@ -143,6 +216,21 @@ impl RollingHash {
         self.acc = 0;
         self.filled = 0;
     }
+
+    /// Replaces the window with `window` in one [`lane_hash`] pass: the
+    /// same state as [`RollingHash::reset`] followed by a
+    /// [`RollingHash::push`] of every byte, without the per-byte fill
+    /// check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window.len()` is not the configured window size.
+    #[inline]
+    pub fn refill(&mut self, window: &[u8]) {
+        assert_eq!(window.len(), self.window, "refill needs a whole window");
+        self.acc = lane_acc(window);
+        self.filled = self.window;
+    }
 }
 
 /// Returns true when the low `k` bits of `hash` are all zero — the CbCH
@@ -218,6 +306,61 @@ mod tests {
             rh.push(*b);
         }
         assert_eq!(rh.value(), v);
+    }
+
+    #[test]
+    fn refill_matches_push_and_keeps_rolling() {
+        let data: Vec<u8> = (0..300u64).map(|i| mix64(i) as u8).collect();
+        for m in [1usize, 7, 8, 9, 64, 100] {
+            let mut pushed = RollingHash::new(m);
+            for &b in &data[..m] {
+                pushed.push(b);
+            }
+            let mut refilled = RollingHash::new(m);
+            refilled.refill(&data[..m]);
+            assert!(refilled.is_full());
+            assert_eq!(refilled.value(), pushed.value(), "m={m}");
+            for i in 0..data.len() - m {
+                refilled.slide(data[i], data[i + m]);
+                assert_eq!(
+                    refilled.value(),
+                    WindowHash::hash(&data[i + 1..i + 1 + m]),
+                    "slide i={i} m={m}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole window")]
+    fn refill_rejects_a_short_window() {
+        RollingHash::new(4).refill(b"abc");
+    }
+
+    /// Longest window the lane-hash property draws; short under Miri.
+    const LANE_MAX: usize = if cfg!(miri) { 300 } else { 4096 };
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn lane_hash_equals_window_hash(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..LANE_MAX + 1),
+        ) {
+            proptest::prop_assert_eq!(lane_hash(&data), WindowHash::hash(&data));
+            let mut rh = RollingHash::new(data.len());
+            rh.refill(&data);
+            proptest::prop_assert_eq!(rh.value(), WindowHash::hash(&data));
+        }
+    }
+
+    #[test]
+    fn lane_hash_equals_window_hash_at_every_short_length() {
+        // Every remainder mod 8, with and without whole lane groups.
+        let data: Vec<u8> = (0..64u64).map(|i| mix64(i) as u8).collect();
+        for m in 1..=data.len() {
+            assert_eq!(lane_hash(&data[..m]), WindowHash::hash(&data[..m]), "m={m}");
+        }
     }
 
     #[test]
