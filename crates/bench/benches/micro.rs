@@ -1,11 +1,13 @@
 //! Criterion micro-benchmarks of the hot paths: SHA-256 hashing, rolling
-//! window hashes, delta signatures and encoding, chunking heuristics, the
-//! wire codec, and manager metadata operations.
+//! window hashes, delta signatures and encoding, chunk assembly from a
+//! write call, chunking heuristics, the wire codec, and manager metadata
+//! operations.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 use stdchk_chunker::delta::{delta_encode_signed, ChunkSignature};
 use stdchk_chunker::{CbChunker, CbRollingChunker, Chunker, FsChunker};
+use stdchk_core::payload::{ChunkAssembler, ChunkBuffers, ChunkBytes, Payload};
 use stdchk_core::{Action, Manager, Node, PoolConfig};
 use stdchk_proto::codec::Wire;
 use stdchk_proto::ids::{ChunkId, NodeId, RequestId};
@@ -77,6 +79,61 @@ fn bench_delta(c: &mut Criterion) {
     });
     g.bench_function("encode_1mib_unrelated", |b| {
         b.iter(|| delta_encode_signed(&sig, &unrelated))
+    });
+    g.finish();
+}
+
+/// One 64 MiB write call cut into 1 MiB chunks, as a client's
+/// `write_all` of a checkpoint image hands it over: copied whole into one
+/// fresh buffer and hashed serially as it is pushed (the owned path), or
+/// hashed in place on every core, then each chunk copied into a buffer of
+/// its own (what a sliding-window session that keeps every chunk pays):
+/// a fresh one, or one an earlier copy handed back to `ChunkBuffers`.
+fn bench_assemble(c: &mut Criterion) {
+    const CHUNK: usize = 1 << 20;
+    let buf = data(64 << 20);
+    let mut g = c.benchmark_group("assemble");
+    g.sample_size(5);
+    g.throughput(Throughput::Bytes(buf.len() as u64));
+    g.bench_function("copy_then_push_64mib", |b| {
+        b.iter(|| {
+            let mut asm = ChunkAssembler::new(CHUNK as u32);
+            let mut done = Vec::new();
+            asm.push(Payload::real(buf.to_vec()), &mut done);
+            done
+        })
+    });
+    g.bench_function("push_slice_64mib", |b| {
+        b.iter(|| {
+            let mut asm = ChunkAssembler::new(CHUNK as u32);
+            let mut done = Vec::new();
+            asm.push_slice(&buf, &mut done);
+            done.len()
+        })
+    });
+    g.bench_function("push_slice_copy_each_64mib", |b| {
+        b.iter(|| {
+            let mut asm = ChunkAssembler::new(CHUNK as u32);
+            let mut done = Vec::new();
+            asm.push_slice(&buf, &mut done);
+            done.into_iter()
+                .map(|c| c.bytes.into_payload())
+                .collect::<Vec<_>>()
+        })
+    });
+    let buffers = ChunkBuffers::new(64 << 20);
+    g.bench_function("push_slice_copy_reused_64mib", |b| {
+        b.iter(|| {
+            let mut asm = ChunkAssembler::new(CHUNK as u32);
+            let mut done = Vec::new();
+            asm.push_slice(&buf, &mut done);
+            done.into_iter()
+                .map(|c| match c.bytes {
+                    ChunkBytes::Borrowed(b) => buffers.copy(b),
+                    owned => owned.into_payload(),
+                })
+                .collect::<Vec<_>>()
+        })
     });
     g.finish();
 }
@@ -200,6 +257,7 @@ criterion_group!(
     benches,
     bench_hashing,
     bench_delta,
+    bench_assemble,
     bench_chunkers,
     bench_codec,
     bench_manager

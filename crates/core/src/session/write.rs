@@ -3,7 +3,10 @@
 //! One state machine implements all three write-optimized protocols as
 //! routing strategies over shared machinery (chunk assembly with on-path
 //! content hashing, FsCH dedup against the previous version, round-robin
-//! striping, reservation management, retries, atomic commit):
+//! striping, reservation management, retries, atomic commit). The
+//! networked client writes through [`WriteSession::write_slice`], which
+//! cuts chunks straight from the caller's buffer and copies only the ones
+//! it keeps. The protocols:
 //!
 //! - **Complete local write (CLW)**: every byte is staged locally; the push
 //!   to benefactors starts only at `close()`. Application-observed bandwidth
@@ -22,6 +25,7 @@
 //! chunk-map committed).
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use stdchk_chunker::delta::{delta_encode_signed, ChunkSignature};
@@ -33,7 +37,7 @@ use stdchk_util::{Dur, Time};
 
 use super::ReqGen;
 use crate::node::{Action, ActionQueue, Completion, Node};
-use crate::payload::{AssembledChunk, ChunkAssembler, Payload};
+use crate::payload::{AssembledChunk, ChunkAssembler, ChunkBuffers, ChunkBytes, Payload};
 use crate::MANAGER_NODE;
 
 /// Which write-optimized protocol a session uses.
@@ -275,6 +279,8 @@ pub struct WriteSession {
     /// Signatures of chunks shipped this session, harvested by the driver
     /// as delta bases for the next version.
     out_sigs: HashMap<ChunkId, ChunkSignature>,
+    /// Where the kept chunks of bulk `write_slice` calls are copied to.
+    buffers: Arc<ChunkBuffers>,
     // Commit state.
     commit_req: Option<RequestId>,
     stats: WriteStats,
@@ -339,6 +345,7 @@ impl WriteSession {
                 open_at: now,
                 ..WriteStats::default()
             },
+            buffers: ChunkBuffers::new(0),
             actions: ActionQueue::new(),
             grant,
         }
@@ -381,6 +388,15 @@ impl WriteSession {
     /// land where the basis lives. Call before the first `write()`.
     pub fn set_basis_placements(&mut self, homes: HashMap<ChunkId, Vec<NodeId>>) {
         self.basis_homes = homes;
+    }
+
+    /// Buffers for the whole chunks this session keeps from bulk
+    /// [`WriteSession::write_slice`] calls. A driver that writes one
+    /// session after another shares one [`ChunkBuffers`] across them, so
+    /// each session copies into buffers the previous ones handed back.
+    /// Without it every copy is a fresh allocation.
+    pub fn set_chunk_buffers(&mut self, buffers: Arc<ChunkBuffers>) {
+        self.buffers = buffers;
     }
 
     /// Where each chunk this session shipped (or will ship) has landed —
@@ -432,10 +448,11 @@ impl WriteSession {
         }
     }
 
-    /// Application write. Callers should respect [`WriteSession::writable`];
-    /// writes beyond it are accepted but simply extend the backpressure
-    /// window (the driver decides whether to block the application).
-    /// Resulting effects are drained through [`Node::poll_action`].
+    /// Application write of an owned payload (the simulator's virtual
+    /// bytes). Callers should respect [`WriteSession::writable`]; writes
+    /// beyond it are accepted but simply extend the backpressure window
+    /// (the caller decides whether to block the application). Resulting
+    /// effects are drained through [`Node::poll_action`].
     ///
     /// # Panics
     ///
@@ -447,7 +464,45 @@ impl WriteSession {
         let mut done = Vec::new();
         self.asm.push(payload, &mut done);
         for chunk in done {
-            self.route_chunk(chunk, now, &mut out);
+            self.route_chunk(
+                chunk.entry,
+                ChunkBytes::Owned(chunk.payload),
+                false,
+                now,
+                &mut out,
+            );
+        }
+        self.actions = out;
+    }
+
+    /// Application write of the caller's buffer: the same effects as
+    /// [`WriteSession::write`] with a copy of `data`, but each whole chunk
+    /// inside `data` is hashed in place ([`ChunkAssembler::push_slice`])
+    /// and copied, once, only if the session keeps its bytes. A chunk the
+    /// session resolves locally (a repeat of one already routed, or a
+    /// previous-version hit with dedup on) is never copied. A bulk call,
+    /// one holding two or more whole chunks (a checkpoint image written
+    /// at once), copies them into buffers from
+    /// [`WriteSession::set_chunk_buffers`], which the next bulk call
+    /// reuses. A smaller call copies into buffers of their own: buffers
+    /// held idle for it would only keep memory from the allocator, which
+    /// reuses freed small copies for other work anyway.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called after `close()`.
+    pub fn write_slice(&mut self, data: &[u8], now: Time) {
+        assert_eq!(self.state, SessionState::Open, "write after close");
+        let mut out = std::mem::take(&mut self.actions);
+        self.stats.bytes_written += data.len() as u64;
+        let mut done = Vec::new();
+        self.asm.push_slice(data, &mut done);
+        let whole = done
+            .iter()
+            .filter(|c| matches!(c.bytes, ChunkBytes::Borrowed(_)))
+            .count();
+        for chunk in done {
+            self.route_chunk(chunk.entry, chunk.bytes, whole >= 2, now, &mut out);
         }
         self.actions = out;
     }
@@ -463,7 +518,13 @@ impl WriteSession {
         self.state = SessionState::Closing;
         let mut out = std::mem::take(&mut self.actions);
         if let Some(tail) = self.asm.finish() {
-            self.route_chunk(tail, now, &mut out);
+            self.route_chunk(
+                tail.entry,
+                ChunkBytes::Owned(tail.payload),
+                false,
+                now,
+                &mut out,
+            );
         }
         // CLW: the push phase starts now.
         if matches!(self.cfg.protocol, WriteProtocol::CompleteLocal) {
@@ -481,35 +542,49 @@ impl WriteSession {
 
     // ------------------------------------------------------------ routing
 
-    fn route_chunk(&mut self, chunk: AssembledChunk, now: Time, out: &mut ActionQueue) {
+    /// The bytes of a chunk the session keeps: a borrowed chunk of a bulk
+    /// call copied into `buffers`, any other borrowed chunk into a buffer
+    /// of its own.
+    fn keep(&self, bytes: ChunkBytes<'_>, bulk: bool) -> Payload {
+        match bytes {
+            ChunkBytes::Borrowed(b) if bulk => self.buffers.copy(b),
+            bytes => bytes.into_payload(),
+        }
+    }
+
+    /// Routes one cut chunk. `bytes` is copied (if still borrowed) only
+    /// where the session keeps it: held for a verdict, queued to ship, or
+    /// staged. `bulk` says it came from a bulk `write_slice` call.
+    fn route_chunk(
+        &mut self,
+        entry: ChunkEntry,
+        bytes: ChunkBytes<'_>,
+        bulk: bool,
+        now: Time,
+        out: &mut ActionQueue,
+    ) {
         self.stats.chunks_total += 1;
-        self.entries.push(chunk.entry);
-        let dedup_hit = self.cfg.dedup && self.prev.contains(&chunk.entry.id);
+        self.entries.push(entry);
+        let dedup_hit = self.cfg.dedup && self.prev.contains(&entry.id);
         // A chunk already shipped (or queued) in *this* session is also a
         // dedup hit: content addressing is set-based.
-        let already_here = self.placements.contains_key(&chunk.entry.id)
-            || self.verdicts.contains_key(&chunk.entry.id)
-            || self
-                .pending_puts
-                .values()
-                .any(|p| p.chunk == chunk.entry.id)
-            || self
-                .queued_puts
-                .iter()
-                .any(|q| q.entry.id == chunk.entry.id)
+        let already_here = self.placements.contains_key(&entry.id)
+            || self.verdicts.contains_key(&entry.id)
+            || self.pending_puts.values().any(|p| p.chunk == entry.id)
+            || self.queued_puts.iter().any(|q| q.entry.id == entry.id)
             || self
                 .staged
                 .iter()
-                .any(|s| !s.deduped && s.entry.id == chunk.entry.id)
+                .any(|s| !s.deduped && s.entry.id == entry.id)
             || self
                 .pending_fetches
                 .values()
-                .any(|s| s.entry.id == chunk.entry.id);
+                .any(|s| s.entry.id == entry.id);
         let dedup = dedup_hit || already_here;
         if dedup {
             self.stats.chunks_deduped += 1;
-            self.stats.bytes_deduped += chunk.entry.size as u64;
-            self.stats.wire_reused_bytes += chunk.entry.size as u64;
+            self.stats.bytes_deduped += entry.size as u64;
+            self.stats.wire_reused_bytes += entry.size as u64;
         }
         // Chunks neither resolvable locally nor already in flight enter
         // have/want negotiation instead of shipping unconditionally.
@@ -519,45 +594,50 @@ impl WriteSession {
             // delta basis candidate, when its signature is in hand.
             let idx = self.entries.len() - 1;
             if let Some(prev_e) = self.grant.prev_chunks.get(idx) {
-                if prev_e.id != chunk.entry.id && self.basis_sigs.contains_key(&prev_e.id) {
-                    self.chunk_basis.insert(chunk.entry.id, prev_e.id);
+                if prev_e.id != entry.id && self.basis_sigs.contains_key(&prev_e.id) {
+                    self.chunk_basis.insert(entry.id, prev_e.id);
                 }
             }
-            self.verdicts.insert(chunk.entry.id, Verdict::Pending);
-            self.offer_pending.push(chunk.entry);
+            self.verdicts.insert(entry.id, Verdict::Pending);
+            self.offer_pending.push(entry);
             self.stats.offered_chunks += 1;
         }
         match self.cfg.protocol {
             WriteProtocol::SlidingWindow { .. } => {
                 if dedup {
                     // Nothing to transfer; the manager resolves locations.
-                } else if negotiate {
-                    // Held (still inside the window) until the verdict.
-                    self.buffered += chunk.entry.size as u64;
-                    self.offer_hold.insert(chunk.entry.id, chunk);
                 } else {
-                    self.buffered += chunk.entry.size as u64;
-                    self.queued_puts.push_back(chunk);
+                    let chunk = AssembledChunk {
+                        entry,
+                        payload: self.keep(bytes, bulk),
+                    };
+                    self.buffered += entry.size as u64;
+                    if negotiate {
+                        // Held (still inside the window) until the verdict.
+                        self.offer_hold.insert(entry.id, chunk);
+                    } else {
+                        self.queued_puts.push_back(chunk);
+                    }
                 }
             }
             WriteProtocol::CompleteLocal | WriteProtocol::Incremental { .. } => {
                 // Stage every byte locally (the local dump), push later.
                 let op = self.op();
                 let offset = self.stage_tail;
-                self.stage_tail += chunk.entry.size as u64;
-                self.stage_inflight += chunk.entry.size as u64;
-                self.stage_ops.insert(op, chunk.entry.size as u64);
+                self.stage_tail += entry.size as u64;
+                self.stage_inflight += entry.size as u64;
+                self.stage_ops.insert(op, entry.size as u64);
                 out.push(Action::StageAppend {
                     op,
                     offset,
-                    payload: chunk.payload,
+                    payload: self.keep(bytes, bulk),
                 });
                 let temp = match self.cfg.protocol {
                     WriteProtocol::Incremental { temp_size } => offset / temp_size.max(1),
                     _ => 0,
                 };
                 self.staged.push_back(StagedChunk {
-                    entry: chunk.entry,
+                    entry,
                     offset,
                     temp,
                     deduped: dedup,

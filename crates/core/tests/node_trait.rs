@@ -288,7 +288,7 @@ impl Harness {
     fn write_file(&mut self, path: &str, protocol: WriteProtocol, data: &[u8]) {
         let mut cw = self.open(path, protocol);
         for piece in data.chunks(700) {
-            cw.session.write(Payload::real(piece.to_vec()), self.now);
+            cw.session.write_slice(piece, self.now);
             drain_node(
                 &mut cw.session,
                 CLIENT,

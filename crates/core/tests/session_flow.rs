@@ -269,7 +269,7 @@ impl Session {
     }
 
     fn write(&mut self, pool: &mut Pool, data: &[u8]) {
-        self.inner.write(Payload::real(data.to_vec()), pool.now);
+        self.inner.write_slice(data, pool.now);
         self.pump(pool);
         pool.run(Some(self));
     }

@@ -46,7 +46,7 @@ use crate::ranks;
 
 use stdchk_chunker::delta::ChunkSignature;
 use stdchk_core::node::{Action, Completion, Node};
-use stdchk_core::payload::Payload;
+use stdchk_core::payload::{ChunkBuffers, Payload};
 use stdchk_core::session::read::{ReadSession, ReadState};
 use stdchk_core::session::write::{
     OpenGrant, SessionConfig, SessionState, WriteSession, WriteStats,
@@ -334,6 +334,9 @@ struct GridInner {
     /// same file. Purely an optimization cache: a stale or missing entry
     /// only means a chunk ships in full instead of as a delta.
     signatures: OrderedMutex<SignatureCache>,
+    /// Buffers every write session of this grid copies its caller's
+    /// bytes into; a copy hands its buffer back when it is dropped.
+    chunk_buffers: Arc<ChunkBuffers>,
 }
 
 impl Drop for GridInner {
@@ -363,6 +366,12 @@ impl Drop for GridInner {
 /// bases of a 1.3 GiB image at the default 1 MiB chunk size. Past it the
 /// least recently written paths go first.
 const SIGNATURE_CACHE_BYTES: usize = 16 << 20;
+
+/// Idle copy buffers one [`Grid`] keeps for its write sessions: one
+/// default sliding window (`SessionConfig::default`), so a version
+/// written through that window copies into the buffers the previous
+/// version handed back.
+const CHUNK_BUFFER_BYTES: u64 = 64 << 20;
 
 /// Delta bases one path's last write left behind: per-chunk signatures
 /// (what to diff against) and placements (where a delta can be applied).
@@ -586,6 +595,7 @@ impl Grid {
                 "client.signatures",
                 SignatureCache::new(SIGNATURE_CACHE_BYTES),
             ),
+            chunk_buffers: ChunkBuffers::new(CHUNK_BUFFER_BYTES),
         });
         rt.app
             .conns
@@ -768,6 +778,7 @@ impl Grid {
             session_cfg,
             self.inner.clock.now(),
         );
+        session.set_chunk_buffers(Arc::clone(&self.inner.chunk_buffers));
         if negotiate {
             // Seed delta bases from what the previous write of this path
             // left behind (if anything).
@@ -1226,10 +1237,7 @@ impl Write for WriteHandle {
                 }
                 self.shared.cv.wait(&mut s);
             }
-            s.write(
-                Payload::real(buf[..n].to_vec()),
-                self.grid.inner.clock.now(),
-            );
+            s.write_slice(&buf[..n], self.grid.inner.clock.now());
         }
         pump_session(&self.grid, &self.shared);
         Ok(n)
@@ -1270,10 +1278,7 @@ impl WriteHandle {
                 return Ok(0);
             }
             n = (buf.len() as u64).min(w) as usize;
-            s.write(
-                Payload::real(buf[..n].to_vec()),
-                self.grid.inner.clock.now(),
-            );
+            s.write_slice(&buf[..n], self.grid.inner.clock.now());
         }
         pump_session(&self.grid, &self.shared);
         Ok(n)

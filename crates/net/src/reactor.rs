@@ -28,7 +28,11 @@
 //!   (dials, address resolution) so reactor workers never block on
 //!   connect or RPC round-trips ([`ReactorHandle::spawn_blocking`]).
 //!
-//! Thread count is `workers + 1` regardless of connection count.
+//! Thread count is `workers + 1` regardless of connection count. A client
+//! write call that holds two or more whole chunks also borrows up to
+//! `available_parallelism − 1` scoped hashing threads
+//! ([`Sha256::digest_each`](stdchk_util::sha256::Sha256::digest_each)),
+//! which end before the call returns; connections still add none.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};

@@ -6,7 +6,8 @@
 //! - [`sha256`]: SHA-256 for content-addressed chunk naming and
 //!   integrity verification; its block compressor runs on the SHA-NI
 //!   instructions when the CPU has them (chosen at run time) and on a
-//!   portable fallback otherwise.
+//!   portable fallback otherwise, and its multi-digest names a run of
+//!   chunks on every core.
 //! - [`crc32`]: CRC-32C record checksums for the segment-log storage
 //!   engine's framing and torn-tail detection.
 //! - [`rolling`]: the polynomial window hashes used by the content-based

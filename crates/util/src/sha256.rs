@@ -14,6 +14,11 @@
 //! time on each [`Sha256::update`] (std caches the CPU probe) and never
 //! changes a digest: both compressors compute the same function.
 //!
+//! One SHA-256 is a serial chain, so a single digest runs on one core.
+//! [`Sha256::digest_each`] names a run of consecutive pieces (the whole
+//! chunks of one write call) on every core: the calling thread plus
+//! scoped helper threads that borrow the data and end before it returns.
+//!
 //! # Examples
 //!
 //! ```
@@ -31,7 +36,16 @@
 //! h.update(b"a");
 //! h.update(b"bc");
 //! assert_eq!(h.finalize(), d);
+//!
+//! // One digest per 2-byte piece; the last piece may be short:
+//! assert_eq!(
+//!     Sha256::digest_each(b"abcde", 2),
+//!     [Sha256::digest(b"ab"), Sha256::digest(b"cd"), Sha256::digest(b"e")]
+//! );
 //! ```
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// A 32-byte SHA-256 digest.
 pub type Digest = [u8; 32];
@@ -86,6 +100,27 @@ impl Sha256 {
         let mut h = Sha256::new();
         h.update(data);
         h.finalize()
+    }
+
+    /// Digests each consecutive `piece`-byte piece of `data` (the last one
+    /// may be shorter): the same digests as [`Sha256::digest`] on each
+    /// piece, in order, and none for empty `data`.
+    ///
+    /// Two or more pieces are spread over up to
+    /// [`std::thread::available_parallelism`] threads, never more than
+    /// there are pieces: the caller and scoped helpers each take the next
+    /// undone piece until none is left, so a slow core delays only the
+    /// piece it holds. The CPU count is probed once per process, and only
+    /// by a call of two or more pieces; a call of fewer hashes on the
+    /// calling thread alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `piece == 0`.
+    pub fn digest_each(data: &[u8], piece: usize) -> Vec<Digest> {
+        assert!(piece > 0, "piece size must be positive");
+        let threads = if data.len() > piece { cpus() } else { 1 };
+        digest_each_on(data, piece, threads)
     }
 
     /// Feeds `data` into the hasher. May be called any number of times.
@@ -149,6 +184,59 @@ impl Sha256 {
         }
         s
     }
+}
+
+/// How many threads may hash at once: `available_parallelism`, probed on
+/// first use (it reads cgroup files, which costs microseconds per call).
+fn cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// [`Sha256::digest_each`] on at most `threads` threads (the caller
+/// included). A helper that fails to start only leaves its share to the
+/// threads that did.
+fn digest_each_on(data: &[u8], piece: usize, threads: usize) -> Vec<Digest> {
+    let pieces = data.len().div_ceil(piece);
+    let threads = threads.min(pieces);
+    if threads < 2 {
+        return data.chunks(piece).map(Sha256::digest).collect();
+    }
+    // The counter only hands out piece indices; each thread's digests
+    // reach this one through its join, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= pieces {
+                return done;
+            }
+            let start = i * piece;
+            let end = (start + piece).min(data.len());
+            done.push((i, Sha256::digest(&data[start..end])));
+        }
+    };
+    let done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads)
+            .filter_map(|_| {
+                std::thread::Builder::new()
+                    .name("stdchk-hash".into())
+                    .spawn_scoped(s, work)
+                    .ok()
+            })
+            .collect();
+        let mut done = work();
+        for h in helpers {
+            done.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        done
+    });
+    let mut out = vec![[0u8; 32]; pieces];
+    for (i, d) in done {
+        out[i] = d;
+    }
+    out
 }
 
 /// A block compressor this CPU can run.
@@ -486,6 +574,45 @@ mod tests {
             assert_eq!(Sha256::digest(&data), want, "seed={seed}");
             assert_eq!(digest_in_pieces(&data, seed), want, "seed={seed}");
         }
+    }
+
+    #[test]
+    fn digest_each_equals_per_piece_digests() {
+        // 0, 1, 2, 3 and 65 pieces, each whole and with a short last
+        // piece, also on explicit thread counts: Miri reports one CPU, so
+        // there the public entry point never starts a helper.
+        let sizes: &[usize] = if cfg!(miri) { &[1, 7] } else { &[1, 64, 1000] };
+        for &piece in sizes {
+            for count in [0usize, 1, 2, 3, 65] {
+                let mut lens = vec![count * piece];
+                if count > 0 && piece > 1 {
+                    lens.extend([count * piece - 1, (count - 1) * piece + 1]);
+                }
+                for len in lens {
+                    let data = noise((piece * 131 + len) as u64, len);
+                    let want: Vec<Digest> = data.chunks(piece).map(Sha256::digest).collect();
+                    assert_eq!(want.len(), count, "piece={piece} len={len}");
+                    assert_eq!(
+                        Sha256::digest_each(&data, piece),
+                        want,
+                        "piece={piece} len={len}"
+                    );
+                    for threads in [1, 2, 4] {
+                        assert_eq!(
+                            digest_each_on(&data, piece, threads),
+                            want,
+                            "piece={piece} len={len} threads={threads}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "piece size must be positive")]
+    fn digest_each_rejects_empty_pieces() {
+        Sha256::digest_each(b"abc", 0);
     }
 
     #[test]
